@@ -7,18 +7,16 @@ itself a dependency tree.  The counting sequence by node count starts
 satisfies T(1-T)^2 = z.
 
 The package provides exhaustive enumeration (the oracle), big-integer
-counting by three independent routes, exact power-series machinery for
+counting by three closed-form routes, exact power-series machinery for
 the generating-function identities, asymptotics, exactly uniform random
 sampling, additive-parameter statistics, and a cross-validation suite.
 """
 from .additive import (
-    CumulativeResult,
     TollSpec,
     builtin_tolls,
     cumulative_by_enumeration,
     cumulative_gf,
     cumulative_gf_via_sequences,
-    cumulative_summary,
     fold_cost,
     mean_parameter,
     toll_by_name,
@@ -68,7 +66,6 @@ __all__ = [
     "AsymptoticConstants",
     "CheckResult",
     "CountTable",
-    "CumulativeResult",
     "DEFAULT_ORACLE_LIMIT",
     "DepTree",
     "Forest",
@@ -85,7 +82,6 @@ __all__ = [
     "cumulative_by_enumeration",
     "cumulative_gf",
     "cumulative_gf_via_sequences",
-    "cumulative_summary",
     "enumerate_forests",
     "enumerate_trees",
     "eval_T_numeric",

@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 from .counting import CountTable
 from .series import PowerSeries, _shift_up, solve_tree_gf, z_times_derivative
-from .trees import DEFAULT_ORACLE_LIMIT, DepTree, enumerate_trees, size
+from .trees import DEFAULT_ORACLE_LIMIT, DepTree, OracleLimitError, enumerate_trees, size
 
 
 @dataclass(frozen=True)
@@ -50,20 +50,6 @@ class TollSpec:
                 )
             return E
         return toll_gf_by_enumeration(self, order, limit=limit)
-
-
-@dataclass(frozen=True)
-class CumulativeResult:
-    """C(z) together with its per-size totals and means.
-
-    per_n_totals[n] = [z^n] C; per_n_means[n] = per_n_totals[n] / t_n.
-    Index 0 is the empty size: no trees, total 0, mean fixed at 0.
-    """
-
-    toll_name: str
-    C: PowerSeries
-    per_n_totals: tuple
-    per_n_means: tuple
 
 
 def _checked_toll_value(toll: TollSpec, t: DepTree) -> int:
@@ -140,9 +126,11 @@ def toll_gf_by_enumeration(
 ) -> PowerSeries:
     """E(z) to ``order`` by summing e(t) over every tree of each size.
 
-    Only viable below the oracle limit; closed forms are reserved for the
-    builtin tolls.
+    Only viable below the oracle limit, which is checked before any
+    enumeration starts; closed forms are reserved for the builtin tolls.
     """
+    if order > limit:
+        raise OracleLimitError(order, limit)
     coeffs = [0] * (order + 1)
     for n in range(1, order + 1):
         coeffs[n] = sum(_checked_toll_value(toll, t) for t in enumerate_trees(n, limit=limit))
@@ -188,30 +176,9 @@ def cumulative_by_enumeration(
 
 
 def mean_parameter(toll: TollSpec, n: int, table: CountTable) -> Fraction:
-    """[z^n] C / t_n as an exact rational."""
+    """[z^n] C / t_n as an exact rational, with T(z) read from ``table``."""
     if n < 1:
         raise ValueError(f"tree sizes start at 1, got {n}")
     t_n = table.tree_count(n)
-    E = toll.toll_series(n)
-    C = cumulative_gf(E, solve_tree_gf(n))
+    C = cumulative_gf(toll.toll_series(n), PowerSeries(table.t[: n + 1]))
     return Fraction(C.coefficient(n), t_n)
-
-
-def cumulative_summary(toll: TollSpec, n_max: int, table: CountTable) -> CumulativeResult:
-    """C(z) to order n_max with the total and mean at every size."""
-    if n_max < 1:
-        raise ValueError(f"need n_max >= 1, got {n_max}")
-    if n_max > table.n_max:
-        raise IndexError(f"n_max={n_max} outside table range 1..{table.n_max}")
-    E = toll.toll_series(n_max)
-    C = cumulative_gf(E, solve_tree_gf(n_max))
-    totals = []
-    means = [Fraction(0)]
-    for n in range(n_max + 1):
-        total = C.coefficient(n)
-        if not isinstance(total, int) or total < 0:
-            raise AssertionError(f"cumulative total at n={n} not a natural: {total!r}")
-        totals.append(total)
-        if n >= 1:
-            means.append(Fraction(total, table.tree_count(n)))
-    return CumulativeResult(toll.name, C, tuple(totals), tuple(means))

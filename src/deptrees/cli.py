@@ -13,9 +13,8 @@ import math
 import os
 import secrets
 import sys
-from fractions import Fraction
 
-from .additive import cumulative_gf, toll_by_name
+from .additive import mean_parameter, toll_by_name
 from .counting import (
     build_count_table,
     count_closed_form,
@@ -108,18 +107,14 @@ def _cmd_series(args: argparse.Namespace) -> int:
     T = solve_tree_gf(args.terms)
     print("k,coefficient")
     for k, c in enumerate(T.coeffs):
-        text = f"{c.numerator}/{c.denominator}" if isinstance(c, Fraction) else str(c)
-        print(f"{k},{text}")
+        print(f"{k},{c}")
     return 0
 
 
 def _cmd_param(args: argparse.Namespace) -> int:
-    toll = toll_by_name(args.toll)
     table = build_count_table(args.n)
-    E = toll.toll_series(args.n)
-    C = cumulative_gf(E, solve_tree_gf(args.n))
-    total = C.coefficient(args.n)
-    mean = Fraction(total, table.tree_count(args.n))
+    mean = mean_parameter(toll_by_name(args.toll), args.n, table)
+    total = mean * table.tree_count(args.n)
     print("n,total,mean_num,mean_den")
     print(f"{args.n},{total},{mean.numerator},{mean.denominator}")
     return 0
@@ -191,6 +186,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        # t_n outgrows the default 4300-digit int-to-str limit near n = 5200
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

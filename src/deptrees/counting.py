@@ -1,26 +1,28 @@
 """Exact counting of dependency trees, with asymptotic diagnostics.
 
-Three independent routes produce the same numbers:
+Three routes produce the same numbers:
 
-* :func:`build_count_table` runs the convolution recurrences that come
-  straight out of the class construction (a tree is a left forest, a root,
-  and a right forest; a forest is a sequence of trees),
+* :func:`build_count_table` fills the tables of tree counts t_n and forest
+  counts s_m from the term ratios of their closed forms, one small
+  multiply and one exact division per entry,
 * :func:`count_closed_form` evaluates binom(3n-2, n-1) / n directly,
 * :func:`lagrange_coefficient` extracts the same number as the u^(n-1)
   coefficient of 1/(1-u)^(2n) scaled by 1/n, walking the binomial series
   term by term.
 
-Keeping the routes independent is the point: each one cross-checks the
-others, and all three are checked against exhaustive enumeration at small
-sizes.  The counts are 1, 2, 7, 30, 143, ... (OEIS A006013) and grow like
-(27/4)^n, so everything here is exact big-integer arithmetic.
+The convolution recurrences that come straight out of the class
+construction (a tree is a left forest, a root, and a right forest; a
+forest is a sequence of trees) are the independent check on all three;
+they live in :mod:`deptrees.verification`, which also checks every route
+against exhaustive enumeration at small sizes.  The counts are 1, 2, 7,
+30, 143, ... (OEIS A006013) and grow like (27/4)^n, so everything here is
+exact big-integer arithmetic.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 
 #: t_{n+1}/t_n converges to 27/4; equivalently the generating function has
 #: its dominant singularity at z = 4/27.
@@ -77,28 +79,25 @@ class CountTable:
 
 
 def build_count_table(n_max: int) -> CountTable:
-    """Fill t_1..t_N and s_0..s_N by the convolution recurrences.
+    """Fill t_1..t_N and s_0..s_N from the term ratios of their closed forms.
 
-    t_m = sum_{i+j=m-1} s_i s_j   (left/right forest split at the root)
-    s_m = sum_{k=1..m} t_k s_{m-k}   (size of the first tree in the forest)
+    t_n = binom(3n-2, n-1)/n and s_m = binom(3m, m)/(2m+1) are
+    hypergeometric, so each entry is the previous one times a rational:
 
-    O(N^2) big-integer multiply-adds; the t convolution uses its symmetry
-    to halve the work.
+        t_{n+1} = t_n 3(3n-1)(3n+1) / (2(n+1)(2n+1))
+        s_{m+1} = s_m 3(3m+1)(3m+2) / (2(m+1)(2m+3))
+
+    Both quotients are integers, so every floor division is exact.  O(N)
+    big-by-small products and divisions.
     """
     if n_max < 1:
         raise ValueError(f"table size must be at least 1, got {n_max}")
-    t = [0] * (n_max + 1)
-    s = [0] * (n_max + 1)
-    s[0] = 1
-    for m in range(1, n_max + 1):
-        acc = 0
-        for i in range((m - 2) // 2 + 1):
-            acc += s[i] * s[m - 1 - i]
-        acc *= 2
-        if (m - 1) % 2 == 0:
-            acc += s[(m - 1) // 2] ** 2
-        t[m] = acc
-        s[m] = sum(map(mul, t[1 : m + 1], s[m - 1 :: -1]))
+    t = [0, 1]
+    s = [1]
+    for n in range(1, n_max):
+        t.append(t[n] * (3 * (3 * n - 1) * (3 * n + 1)) // (2 * (n + 1) * (2 * n + 1)))
+    for m in range(n_max):
+        s.append(s[m] * (3 * (3 * m + 1) * (3 * m + 2)) // (2 * (m + 1) * (2 * m + 3)))
     return CountTable(tuple(t), tuple(s))
 
 

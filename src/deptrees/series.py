@@ -7,17 +7,21 @@ to the smaller of the two orders.
 
 The generating function T(z) = sum t_n z^n of tree counts satisfies
 
-    T(z) = z / (1 - T(z))^2        equivalently    T (1 - T)^2 = z,
+    T(z) = z / (1 - T(z))^2        equivalently    T (1 - T)^2 = z.
 
-which this module solves formally (:func:`solve_tree_gf`), verifies
-coefficientwise (:func:`verify_functional_identity`), and evaluates
-numerically on [0, 4/27] (:func:`eval_T_numeric`, the branch with T(0) = 0
-increasing to T(4/27) = 1/3).
+Its coefficients are the tree counts, so :func:`solve_tree_gf` reads them
+from the count table rather than solving the equation;
+:func:`verify_functional_identity` checks them against the equation
+coefficientwise, which does not depend on how they were made, and
+:func:`eval_T_numeric` evaluates T numerically on [0, 4/27] (the branch
+with T(0) = 0 increasing to T(4/27) = 1/3).
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from operator import mul
+
+from .counting import build_count_table
 
 _Scalar = (int, Fraction)
 
@@ -166,35 +170,14 @@ def z_times_derivative(a: PowerSeries) -> PowerSeries:
     return PowerSeries(tuple(k * c for k, c in enumerate(a.coeffs)))
 
 
-def _zero_extend(a: PowerSeries, order: int) -> PowerSeries:
-    if order <= a.order:
-        return a.truncate(order)
-    return PowerSeries(a.coeffs + (0,) * (order - a.order))
-
-
 def _shift_up(a: PowerSeries) -> PowerSeries:
     """Multiply by z, keeping the truncation order."""
     return PowerSeries((0,) + a.coeffs[:-1])
 
 
 def solve_tree_gf(n_terms: int) -> PowerSeries:
-    """Coefficients of T(z) to order ``n_terms`` by fixed-point iteration.
-
-    Iterates T <- z * quasi_inverse(T)^2 from the zero series.  Each pass
-    fixes at least one further coefficient (the map is a contraction that
-    gains one order per application), so the truncation cap can grow with
-    the pass number; after n_terms passes a final full-order pass confirms
-    the coefficients have stabilized.
-    """
-    if n_terms < 1:
-        raise ValueError(f"need at least 1 term, got {n_terms}")
-    T = PowerSeries.zero(1)
-    for i in range(1, n_terms + 1):
-        cap = min(i + 1, n_terms)
-        T = _shift_up(_zero_extend(T, cap).quasi_inverse().square())
-    stabilized = _shift_up(_zero_extend(T, n_terms).quasi_inverse().square())
-    assert stabilized == T, "fixed point failed to stabilize"
-    return T
+    """T(z) to order ``n_terms``: [z^n] T is the tree count t_n."""
+    return PowerSeries(build_count_table(n_terms).t)
 
 
 def verify_functional_identity(T: PowerSeries) -> int:

@@ -3,11 +3,16 @@
 Four checks, each pitting at least two unrelated implementations against
 each other:
 
-  count-agreement    convolution table vs closed form vs Lagrange
-                     extraction vs exhaustive enumeration
+  count-agreement    the ratio table's t and s vs the convolution
+                     recurrences, t vs closed form and Lagrange extraction,
+                     and both vs exhaustive enumeration
   series-identity    T(1-T)^2 = z coefficientwise, and zT' = T(1-T)/(1-3T)
   additive-agreement both cumulative GF forms, and GF totals vs enumeration
   sampler-smoke      coverage and chi-square at n = 4 under a fixed seed
+
+The convolution recurrences of the class construction
+(:func:`convolution_table`) serve no production path; they exist here only
+as the route the count tables are checked against.
 
 Used by the CLI verify subcommand; returns structured results so callers
 decide presentation and exit codes.  A check that raises is reported as a
@@ -17,6 +22,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import mul
 
 from . import counting
 from .additive import builtin_tolls, cumulative_by_enumeration, cumulative_gf, \
@@ -42,16 +48,51 @@ class CheckResult:
     detail: str
 
 
+def convolution_table(n_max: int) -> counting.CountTable:
+    """Fill t_1..t_N and s_0..s_N by the convolution recurrences.
+
+    t_m = sum_{i+j=m-1} s_i s_j   (left/right forest split at the root)
+    s_m = sum_{k=1..m} t_k s_{m-k}   (size of the first tree in the forest)
+
+    O(N^2) big-integer multiply-adds; the t convolution uses its symmetry
+    to halve the work.
+    """
+    if n_max < 1:
+        raise ValueError(f"table size must be at least 1, got {n_max}")
+    t = [0] * (n_max + 1)
+    s = [0] * (n_max + 1)
+    s[0] = 1
+    for m in range(1, n_max + 1):
+        acc = 0
+        for i in range((m - 2) // 2 + 1):
+            acc += s[i] * s[m - 1 - i]
+        acc *= 2
+        if (m - 1) % 2 == 0:
+            acc += s[(m - 1) // 2] ** 2
+        t[m] = acc
+        s[m] = sum(map(mul, t[1 : m + 1], s[m - 1 :: -1]))
+    return counting.CountTable(tuple(t), tuple(s))
+
+
 def _check_counts(table: counting.CountTable, oracle_limit: int) -> CheckResult:
+    conv = convolution_table(table.n_max)
     for n in range(1, table.n_max + 1):
         a = table.tree_count(n)
-        b = counting.count_closed_form(n)
-        c = counting.lagrange_coefficient(n)
-        if not a == b == c:
+        b = conv.t[n]
+        c = counting.count_closed_form(n)
+        d = counting.lagrange_coefficient(n)
+        if not a == b == c == d:
             return CheckResult(
                 "count-agreement",
                 False,
-                f"n={n}: table {a}, closed form {b}, Lagrange {c}",
+                f"n={n}: table {a}, convolution {b}, closed form {c}, Lagrange {d}",
+            )
+    for m in range(table.n_max + 1):
+        if table.forest_count(m) != conv.s[m]:
+            return CheckResult(
+                "count-agreement",
+                False,
+                f"m={m}: forest table {table.forest_count(m)}, convolution {conv.s[m]}",
             )
     for n in range(1, oracle_limit + 1):
         if len(enumerate_trees(n, limit=oracle_limit)) != table.tree_count(n):
@@ -66,7 +107,8 @@ def _check_counts(table: counting.CountTable, oracle_limit: int) -> CheckResult:
     return CheckResult(
         "count-agreement",
         True,
-        f"three routes agree for n=1..{table.n_max}, enumeration to n={oracle_limit}",
+        f"four routes agree for n=1..{table.n_max}, forests to m={table.n_max}, "
+        f"enumeration to n={oracle_limit}",
     )
 
 

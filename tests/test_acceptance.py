@@ -35,6 +35,7 @@ from deptrees import (
     verify_functional_identity,
     z_times_derivative,
 )
+from deptrees.verification import convolution_table
 from conftest import tree_path_distribution
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -58,11 +59,19 @@ class TestAcceptance:
     def test_criterion_01_three_way_counts(self):
         started = time.monotonic()
         table = build_count_table(512)
-        ok = all(
+        conv = convolution_table(512)
+        ok = table.t == conv.t and table.s == conv.s
+        ok = ok and all(
             table.tree_count(n) == count_closed_form(n) == lagrange_coefficient(n)
             for n in range(1, 513)
         )
-        verdict(1, ok, "three-way count agreement for n=1..512", started)
+        verdict(
+            1,
+            ok,
+            "ratio table matches the convolution (t and s) and the closed form "
+            "and Lagrange routes for n=1..512",
+            started,
+        )
 
     def test_criterion_02_oracle_agreement(self):
         started = time.monotonic()

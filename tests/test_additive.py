@@ -3,8 +3,8 @@
 Covers: fold_cost against its defining recursion and against the
 sum-over-subtrees identity, the three builtin toll GFs, agreement of the
 two cumulative GF forms, GF totals against exhaustive enumeration,
-linearity, the unit-toll derivative identity, exact means, the summary
-table, enumeration-backed custom tolls, and toll validation.
+linearity, the unit-toll derivative identity, exact means,
+enumeration-backed custom tolls, and toll validation.
 """
 from __future__ import annotations
 
@@ -22,7 +22,6 @@ from deptrees import (
     cumulative_by_enumeration,
     cumulative_gf,
     cumulative_gf_via_sequences,
-    cumulative_summary,
     enumerate_trees,
     fold_cost,
     mean_parameter,
@@ -213,26 +212,3 @@ class TestMeans:
         m = mean_parameter(toll_by_name("size"), 7, table_16)
         assert isinstance(m, Fraction)
         assert m.denominator > 1
-
-
-class TestSummary:
-    def test_structure(self, table_16):
-        res = cumulative_summary(toll_by_name("leaf"), 5, table_16)
-        assert res.toll_name == "leaf"
-        assert res.C.order == 5
-        assert res.per_n_totals == (0, 1, 2, 10, 56, 330)
-        assert res.per_n_means[0] == 0
-        assert res.per_n_means[3] == Fraction(10, 7)
-        assert len(res.per_n_means) == 6
-
-    def test_totals_match_means(self, table_16):
-        res = cumulative_summary(toll_by_name("size"), 8, table_16)
-        for n in range(1, 9):
-            expected = Fraction(res.per_n_totals[n], table_16.tree_count(n))
-            assert res.per_n_means[n] == expected
-
-    def test_errors(self, table_16):
-        with pytest.raises(ValueError):
-            cumulative_summary(toll_by_name("unit"), 0, table_16)
-        with pytest.raises(IndexError):
-            cumulative_summary(toll_by_name("unit"), 17, table_16)

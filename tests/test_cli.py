@@ -19,7 +19,7 @@ import pytest
 
 import deptrees
 import deptrees.__main__
-from deptrees import cli
+from deptrees import cli, count_closed_form
 
 GOLDEN = Path(__file__).parent / "golden"
 PYPROJECT = Path(__file__).parent.parent / "pyproject.toml"
@@ -112,6 +112,12 @@ class TestCount:
         assert out.strip() == str(
             9271463686195239118803530716446835184571830559071680509839539927100905971736920
         )
+
+    def test_beyond_int_to_str_limit(self, capsys):
+        # t_6000 has over 4300 digits, Python's default int-to-str limit
+        code, out, err = run_cli(capsys, "count", "6000")
+        assert (code, err) == (0, "")
+        assert out == f"{count_closed_form(6000)}\n"
 
     def test_usage_errors(self, capsys):
         assert run_cli(capsys, "count")[0] == 2

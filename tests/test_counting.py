@@ -1,6 +1,6 @@
 """Counting tests.
 
-Covers: the three independent counting routes against each other and
+Covers: the three counting routes against each other and
 against hand-checked values, table range errors, the asymptotic
 approximation (sign, decay, frozen reference points), and the growth
 ratio's march toward 27/4.

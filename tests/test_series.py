@@ -1,8 +1,8 @@
 """Power series tests.
 
 Covers: coefficient normalization and immutability, ring axioms (checked
-property-style), the quasi-inverse contract, derivatives, the fixed-point
-solver against the count table, coefficientwise identity verification
+property-style), the quasi-inverse contract, derivatives, T(z) against
+the convolution recurrences, coefficientwise identity verification
 with deliberate corruption, and the numeric evaluation branch with its
 singular endpoint.
 """
@@ -21,7 +21,8 @@ from deptrees import (
     verify_functional_identity,
     z_times_derivative,
 )
-from deptrees.series import SINGULARITY_FLOAT, _shift_up, _zero_extend
+from deptrees.series import SINGULARITY_FLOAT, _shift_up
+from deptrees.verification import convolution_table
 
 coefficients = st.one_of(
     st.integers(-9, 9),
@@ -182,18 +183,11 @@ class TestHelpers:
     def test_shift_up(self):
         assert _shift_up(PowerSeries([1, 2, 3])).coeffs == (0, 1, 2)
 
-    def test_zero_extend(self):
-        ps = PowerSeries([1, 2])
-        assert _zero_extend(ps, 4).coeffs == (1, 2, 0, 0, 0)
-        assert _zero_extend(ps, 1).coeffs == (1, 2)
-        assert _zero_extend(ps, 0).coeffs == (1,)
-
 
 class TestTreeGF:
     def test_coefficients_match_table(self):
         T = solve_tree_gf(40)
-        table = build_count_table(40)
-        assert T.coeffs == tuple(table.t)
+        assert T.coeffs == convolution_table(40).t
         assert T.order == 40
 
     def test_single_term(self):

@@ -44,6 +44,17 @@ class TestFaultInjection:
         assert not by_name["count-agreement"].passed
         assert "n=7" in by_name["count-agreement"].detail
 
+    def test_corrupted_forest_count_detected(self):
+        # s_9 lies beyond the oracle, so only the convolution route sees it
+        table = build_count_table(16)
+        s = list(table.s)
+        s[9] += 1
+        bad = CountTable(table.t, tuple(s))
+        results = run_verification(oracle_limit=4, series_terms=8, table=bad)
+        by_name = {r.name: r for r in results}
+        assert not by_name["count-agreement"].passed
+        assert "m=9" in by_name["count-agreement"].detail
+
     def test_corrupted_small_count_detected_by_oracle_too(self):
         bad = corrupt(build_count_table(16), 3)
         results = run_verification(oracle_limit=4, series_terms=8, table=bad)
