@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .counting import CountTable
-from .series import PowerSeries, _shift_up, solve_tree_gf, z_times_derivative
+from .series import PowerSeries, _shift_up, z_times_derivative
 from .trees import DEFAULT_ORACLE_LIMIT, DepTree, OracleLimitError, enumerate_trees, size
 
 
@@ -31,19 +31,22 @@ class TollSpec:
     """A toll e(t) plus, for builtins, a closed form for E(z).
 
     ``evaluate`` must be a pure function of the tree value returning a
-    nonnegative int.  ``toll_gf`` maps a truncation order to E(z); tolls
-    without one fall back to enumeration (oracle-limited).
+    nonnegative int.  ``toll_gf`` maps the tree GF T(z) to E(z) at the
+    same order; tolls without one fall back to enumeration
+    (oracle-limited).
     """
 
     name: str
     evaluate: Callable[[DepTree], int]
-    toll_gf: Optional[Callable[[int], PowerSeries]] = None
+    toll_gf: Optional[Callable[[PowerSeries], PowerSeries]] = None
     description: str = ""
 
-    def toll_series(self, order: int, limit: int = DEFAULT_ORACLE_LIMIT) -> PowerSeries:
-        """E(z) to ``order``, from the closed form or else by enumeration."""
+    def toll_series(self, T: PowerSeries, limit: int = DEFAULT_ORACLE_LIMIT) -> PowerSeries:
+        """E(z) to the order of ``T``, from the closed form over ``T`` or
+        else by enumeration."""
+        order = T.order
         if self.toll_gf is not None:
-            E = self.toll_gf(order)
+            E = self.toll_gf(T)
             if E.order != order:
                 raise ValueError(
                     f"toll {self.name!r}: toll_gf returned order {E.order}, wanted {order}"
@@ -81,30 +84,27 @@ def fold_cost(t: DepTree, toll: TollSpec) -> int:
     return cost[id(t)]
 
 
-def _unit_gf(order: int) -> PowerSeries:
-    return solve_tree_gf(order) if order >= 1 else PowerSeries.zero(0)
-
-
-def _leaf_gf(order: int) -> PowerSeries:
+def _leaf_gf(T: PowerSeries) -> PowerSeries:
     # only the single-node tree has e = 1, so E(z) = z exactly
-    if order == 0:
+    if T.order == 0:
         return PowerSeries.zero(0)
-    return PowerSeries.monomial(order, 1)
-
-
-def _size_gf(order: int) -> PowerSeries:
-    return z_times_derivative(_unit_gf(order))
+    return PowerSeries.monomial(T.order, 1)
 
 
 _BUILTINS = (
-    TollSpec("unit", lambda t: 1, _unit_gf, "e = 1 at every node; c(t) = |t|"),
+    TollSpec("unit", lambda t: 1, lambda T: T, "e = 1 at every node; c(t) = |t|"),
     TollSpec(
         "leaf",
         lambda t: 1 if not t.left and not t.right else 0,
         _leaf_gf,
         "e = 1 exactly on the single node; c(t) counts leaves",
     ),
-    TollSpec("size", size, _size_gf, "e(t) = |t|; c(t) is the total path length plus |t|"),
+    TollSpec(
+        "size",
+        size,
+        z_times_derivative,
+        "e(t) = |t|; c(t) is the total path length plus |t|",
+    ),
 )
 
 
@@ -180,5 +180,6 @@ def mean_parameter(toll: TollSpec, n: int, table: CountTable) -> Fraction:
     if n < 1:
         raise ValueError(f"tree sizes start at 1, got {n}")
     t_n = table.tree_count(n)
-    C = cumulative_gf(toll.toll_series(n), PowerSeries(table.t[: n + 1]))
+    T = PowerSeries(table.t[: n + 1])
+    C = cumulative_gf(toll.toll_series(T), T)
     return Fraction(C.coefficient(n), t_n)

@@ -49,11 +49,8 @@ def _decimal_form(ln_value: float) -> str:
 
 def _print_counts(rows: list[tuple[int, int]], fmt: str) -> None:
     if fmt == "plain":
-        if len(rows) == 1:
-            print(rows[0][1])
-        else:
-            for n, t in rows:
-                print(f"{n} {t}")
+        for n, t in rows:
+            print(f"{n} {t}")
     elif fmt == "csv":
         print("n,t_n")
         for n, t in rows:
@@ -64,11 +61,14 @@ def _print_counts(rows: list[tuple[int, int]], fmt: str) -> None:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    if args.n is not None:
-        rows = [(args.n, count_closed_form(args.n))]
-    else:
+    if args.n is None:
         table = build_count_table(args.upto)
         rows = [(n, table.tree_count(n)) for n in range(1, args.upto + 1)]
+    else:
+        rows = [(args.n, count_closed_form(args.n))]
+        if args.format == "plain":
+            print(rows[0][1])
+            return 0
     _print_counts(rows, args.format)
     return 0
 
@@ -79,9 +79,8 @@ def _cmd_approx(args: argparse.Namespace) -> int:
     print(f"ln_approx {ln_approx!r}")
     print(f"approx {_decimal_form(ln_approx)}")
     if args.compare:
-        table = build_count_table(args.n)
-        print(f"exact {table.tree_count(args.n)}")
-        print(f"rel_error {relative_error(args.n, table)!r}")
+        print(f"exact {count_closed_form(args.n)}")
+        print(f"rel_error {relative_error(args.n)!r}")
     return 0
 
 
@@ -96,8 +95,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     if seed is None:
         seed = secrets.randbits(64)
         print(f"seed {seed}", file=sys.stderr)
-    table = build_count_table(args.n)
-    state = SamplerState(table, seed)
+    state = SamplerState(seed)
     for _ in range(args.count):
         print(serialize(sample_tree(args.n, state)))
     return 0
@@ -154,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("approx", help="asymptotic approximation of t_n")
     p.add_argument("n", type=_positive_int)
     p.add_argument("--compare", action="store_true",
-                   help="also build the exact table and print the relative error")
+                   help="also print the exact count and the relative error")
     p.set_defaults(func=_cmd_approx)
 
     p = sub.add_parser("enumerate", help="all trees of a size, one per line")

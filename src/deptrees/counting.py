@@ -138,9 +138,9 @@ def stirling_log_approx(n: int) -> float:
     return _AMPLITUDE_LOG - 1.5 * math.log(n) + n * _LOG_GROWTH
 
 
-def relative_error(n: int, table: CountTable) -> float:
-    """approx(n)/t_n - 1, with ln t_n taken exactly from the big integer."""
-    exact_log = math.log(table.tree_count(n))
+def relative_error(n: int) -> float:
+    """approx(n)/t_n - 1, with ln t_n taken exactly from the closed form."""
+    exact_log = math.log(count_closed_form(n))
     return math.expm1(stirling_log_approx(n) - exact_log)
 
 

@@ -133,7 +133,7 @@ def _check_series(series_terms: int) -> CheckResult:
 def _check_additive(oracle_limit: int, series_terms: int) -> CheckResult:
     T = solve_tree_gf(series_terms)
     for toll in builtin_tolls():
-        E = toll.toll_series(series_terms)
+        E = toll.toll_series(T)
         C = cumulative_gf(E, T)
         if C != cumulative_gf_via_sequences(E, T):
             return CheckResult(
@@ -154,9 +154,9 @@ def _check_additive(oracle_limit: int, series_terms: int) -> CheckResult:
     )
 
 
-def _check_sampler(table: counting.CountTable) -> CheckResult:
+def _check_sampler() -> CheckResult:
     shapes = [serialize(t) for t in enumerate_trees(_SMOKE_SIZE)]
-    state = SamplerState(table, _SMOKE_SEED)
+    state = SamplerState(_SMOKE_SEED)
     observed = Counter(
         serialize(sample_tree(_SMOKE_SIZE, state)) for _ in range(_SMOKE_SAMPLES)
     )
@@ -205,5 +205,5 @@ def run_verification(
         _guarded(
             "additive-agreement", lambda: _check_additive(oracle_limit, series_terms)
         ),
-        _guarded("sampler-smoke", lambda: _check_sampler(table)),
+        _guarded("sampler-smoke", _check_sampler),
     ]

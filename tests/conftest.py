@@ -1,92 +1,12 @@
-"""Shared fixtures and the decision-path replay harness.
-
-The replay harness substitutes a scripted fake for SamplerState so tests
-can enumerate every possible sequence of random decisions the sampler can
-make at a given size, turning statistical uniformity claims into exact
-rational arithmetic.
-"""
+"""Shared fixtures."""
 from __future__ import annotations
-
-from collections import Counter
-from fractions import Fraction
 
 import pytest
 
-from deptrees import build_count_table, sample_forest, sample_tree, serialize, \
-    serialize_forest
+from deptrees import build_count_table
 
 
 @pytest.fixture(scope="session")
 def table_2048():
     """One big count table shared by everything that needs large n."""
     return build_count_table(2048)
-
-
-@pytest.fixture(scope="session")
-def table_64():
-    return build_count_table(64)
-
-
-class NeedDraw(Exception):
-    """Raised by ReplayState when the script runs out mid-sample."""
-
-    def __init__(self, bound: int):
-        self.bound = bound
-
-
-class ReplayState:
-    """Duck-typed SamplerState serving pre-scripted draw values.
-
-    A draw with bound 1 returns 0 without consuming script, mirroring the
-    real state's entropy behavior.  Running past the script raises
-    NeedDraw carrying the demanded bound, which the path enumerator uses
-    to branch over all possible values.
-    """
-
-    def __init__(self, table, script: tuple):
-        self.table = table
-        self.script = script
-        self.pos = 0
-
-    def draw_below(self, bound: int) -> int:
-        assert bound >= 1
-        if bound == 1:
-            return 0
-        if self.pos == len(self.script):
-            raise NeedDraw(bound)
-        value = self.script[self.pos]
-        self.pos += 1
-        assert 0 <= value < bound, "scripted draw out of range"
-        return value
-
-
-def _path_distribution(table, run) -> dict:
-    """Probability of each outcome over all decision paths of ``run``.
-
-    ``run(state)`` must sample one object using only state.draw_below and
-    state.table, and return its canonical string.  Each scripted value v
-    for a draw with bound W contributes a factor 1/W, which is exactly
-    the probability the real rejection sampler emits v.
-    """
-    dist: Counter = Counter()
-    pending = [((), Fraction(1))]
-    while pending:
-        script, prob = pending.pop()
-        state = ReplayState(table, script)
-        try:
-            outcome = run(state)
-        except NeedDraw as need:
-            step = Fraction(1, need.bound)
-            pending.extend((script + (v,), prob * step) for v in range(need.bound))
-            continue
-        assert state.pos == len(script), "sampler left scripted draws unconsumed"
-        dist[outcome] += prob
-    return dict(dist)
-
-
-def tree_path_distribution(n: int, table) -> dict:
-    return _path_distribution(table, lambda st: serialize(sample_tree(n, st)))
-
-
-def forest_path_distribution(m: int, table) -> dict:
-    return _path_distribution(table, lambda st: serialize_forest(sample_forest(m, st)))

@@ -8,7 +8,9 @@ a one-time exact evaluation recorded here (measured values in comments).
 from __future__ import annotations
 
 import time
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -35,17 +37,15 @@ from deptrees import (
     verify_functional_identity,
     z_times_derivative,
 )
-from deptrees.verification import convolution_table
-from conftest import tree_path_distribution
+from deptrees.sampler import _tree_from_stars
+from deptrees.series import SINGULARITY_FLOAT
+from deptrees.verification import CHI2_CRIT_29DOF_999, convolution_table
 
 GOLDEN = Path(__file__).parent / "golden"
 
 # frozen tolerances (measured values noted alongside)
 REL_ERROR_TOL_AT_1000 = 2.5e-4          # measured -2.3613879688777492e-04
 RATIO_GAP_TOL_AT_2000 = Fraction(52, 10000)  # measured ~5.0597e-03
-CHI2_CRIT_29DOF_999 = 58.301173489794905
-
-SINGULARITY_FLOAT = 4.0 / 27.0
 
 
 def verdict(num: int, passed: bool, summary: str, started: float) -> None:
@@ -104,9 +104,9 @@ class TestAcceptance:
         T8 = solve_tree_gf(8)
         ok = True
         for toll in builtin_tolls():
-            E = toll.toll_series(128)
+            E = toll.toll_series(T128)
             ok = ok and cumulative_gf(E, T128) == cumulative_gf_via_sequences(E, T128)
-            C = cumulative_gf(toll.toll_series(8), T8)
+            C = cumulative_gf(toll.toll_series(T8), T8)
             ok = ok and all(
                 C.coefficient(n) == cumulative_by_enumeration(toll, n)
                 for n in range(1, 9)
@@ -117,9 +117,9 @@ class TestAcceptance:
             5, ok, "both cumulative forms to order 128; oracle totals n<=8", started
         )
 
-    def test_criterion_06_asymptotics(self, table_2048):
+    def test_criterion_06_asymptotics(self):
         started = time.monotonic()
-        errs = {n: relative_error(n, table_2048) for n in (10, 100, 1000)}
+        errs = {n: relative_error(n) for n in (10, 100, 1000)}
         ok = abs(errs[1000]) < abs(errs[100]) < abs(errs[10])
         ok = ok and abs(errs[1000]) < REL_ERROR_TOL_AT_1000
         verdict(
@@ -143,28 +143,28 @@ class TestAcceptance:
             started,
         )
 
-    def test_criterion_08_sampler_uniformity(self, table_2048):
+    def test_criterion_08_sampler_uniformity(self):
         started = time.monotonic()
         shapes = [serialize(t) for t in enumerate_trees(4)]
-        state = SamplerState(table_2048, 7)
-        from collections import Counter
-
+        state = SamplerState(7)
         observed = Counter(serialize(sample_tree(4, state)) for _ in range(30000))
         expected = 30000 / 30
         coverage = set(observed) == set(shapes)
         chi2 = sum((observed[s] - expected) ** 2 / expected for s in shapes)
         exact = True
-        for n in range(1, 5):
-            dist = tree_path_distribution(n, table_2048)
-            t_n = table_2048.tree_count(n)
-            exact = exact and len(dist) == t_n
-            exact = exact and all(p == Fraction(1, t_n) for p in dist.values())
+        for n in range(1, 8):
+            hits = Counter(
+                _tree_from_stars(n, stars)
+                for stars in combinations(range(3 * n - 2), n - 1)
+            )
+            exact = exact and set(hits) == {serialize(t) for t in enumerate_trees(n)}
+            exact = exact and set(hits.values()) == {n}
         ok = coverage and chi2 < CHI2_CRIT_29DOF_999 and exact
         verdict(
             8,
             ok,
             f"30 shapes covered, chi2={chi2:.2f} < {CHI2_CRIT_29DOF_999:.2f}; "
-            f"decision paths exactly uniform for n<=4",
+            f"every star subset tried: each tree hit exactly n times for n<=7",
             started,
         )
 

@@ -95,22 +95,23 @@ class TestBuiltinTolls:
             toll_by_name("height")
 
     def test_unit_gf_is_tree_gf(self):
-        assert toll_by_name("unit").toll_series(12) == solve_tree_gf(12)
-        assert toll_by_name("unit").toll_series(12).coefficient(3) == 7
+        T = solve_tree_gf(12)
+        assert toll_by_name("unit").toll_series(T) == T
+        assert toll_by_name("unit").toll_series(T).coefficient(3) == 7
 
     def test_leaf_gf_is_z(self):
-        E = toll_by_name("leaf").toll_series(9)
+        E = toll_by_name("leaf").toll_series(solve_tree_gf(9))
         assert E == PowerSeries.monomial(9, 1)
 
     def test_size_gf_is_z_T_prime(self):
-        E = toll_by_name("size").toll_series(12)
+        E = toll_by_name("size").toll_series(solve_tree_gf(12))
         assert E == z_times_derivative(solve_tree_gf(12))
         assert E.coefficient(3) == 21
 
     def test_gfs_match_enumeration(self):
         # the TollSpec invariant, checked for every builtin
         for toll in builtin_tolls():
-            E = toll.toll_series(6)
+            E = toll.toll_series(solve_tree_gf(6))
             direct = toll_gf_by_enumeration(toll, 6)
             assert E == direct, toll.name
 
@@ -119,7 +120,7 @@ class TestCumulativeGF:
     def test_both_forms_agree(self):
         T = solve_tree_gf(32)
         for toll in builtin_tolls():
-            E = toll.toll_series(32)
+            E = toll.toll_series(T)
             assert cumulative_gf(E, T) == cumulative_gf_via_sequences(E, T)
 
     def test_unit_gives_z_T_prime(self):
@@ -139,8 +140,8 @@ class TestCumulativeGF:
 
     def test_linearity(self):
         T = solve_tree_gf(16)
-        E1 = toll_by_name("leaf").toll_series(16)
-        E2 = toll_by_name("size").toll_series(16)
+        E1 = toll_by_name("leaf").toll_series(T)
+        E2 = toll_by_name("size").toll_series(T)
         lhs = cumulative_gf(E1 + E2, T)
         assert lhs == cumulative_gf(E1, T) + cumulative_gf(E2, T)
 
@@ -152,7 +153,7 @@ class TestCumulativeGF:
     def test_matches_enumeration(self):
         T = solve_tree_gf(6)
         for toll in builtin_tolls():
-            C = cumulative_gf(toll.toll_series(6), T)
+            C = cumulative_gf(toll.toll_series(T), T)
             for n in range(1, 7):
                 assert C.coefficient(n) == cumulative_by_enumeration(toll, n)
 
@@ -171,6 +172,11 @@ class TestEnumerationRoute:
         with pytest.raises(OracleLimitError):
             toll_gf_by_enumeration(toll_by_name("leaf"), 11)
 
+    def test_custom_toll_gf_must_keep_the_order(self):
+        short = TollSpec("short", lambda t: 1, lambda T: T.truncate(T.order - 1))
+        with pytest.raises(ValueError, match="order 5, wanted 6"):
+            short.toll_series(solve_tree_gf(6))
+
     def test_rejects_nonpositive_size(self):
         with pytest.raises(ValueError):
             cumulative_by_enumeration(toll_by_name("leaf"), 0)
@@ -180,13 +186,14 @@ class TestEnumerationRoute:
         internal = TollSpec(
             "internal", lambda t: 1 if t.left or t.right else 0
         )
-        E = internal.toll_series(6)
-        C = cumulative_gf(E, solve_tree_gf(6))
+        T = solve_tree_gf(6)
+        E = internal.toll_series(T)
+        C = cumulative_gf(E, T)
         for n in range(1, 7):
             assert C.coefficient(n) == cumulative_by_enumeration(internal, n)
         # leaves + internal nodes = all nodes
-        leaf_E = toll_by_name("leaf").toll_series(6)
-        assert E + leaf_E == solve_tree_gf(6)
+        leaf_E = toll_by_name("leaf").toll_series(T)
+        assert E + leaf_E == T
 
 
 class TestMeans:

@@ -89,6 +89,10 @@ class TestCount:
         assert run_cli(capsys, "count", "3") == (0, "7\n", "")
         assert run_cli(capsys, "count", "1") == (0, "1\n", "")
 
+    def test_upto_one_is_a_table_row(self, capsys):
+        # the layout follows the mode, not the number of rows
+        assert run_cli(capsys, "count", "--upto", "1") == (0, "1 1\n", "")
+
     def test_csv(self, capsys):
         code, out, _ = run_cli(capsys, "count", "--upto", "3", "--format", "csv")
         assert code == 0

@@ -110,22 +110,22 @@ class TestAsymptotics:
         expected = math.log(27 / 4) - 0.5 * math.log(27 * math.pi)
         assert stirling_log_approx(1) == pytest.approx(expected, abs=1e-15)
 
-    def test_approx_underestimates(self, table_128):
+    def test_approx_underestimates(self):
         # the first-order correction is negative, so the approximation
         # sits below the exact count at every n
         for n in (1, 5, 10, 50, 128):
-            assert relative_error(n, table_128) < 0
+            assert relative_error(n) < 0
 
-    def test_error_decays(self, table_128):
-        errs = [abs(relative_error(n, table_128)) for n in (10, 40, 128)]
+    def test_error_decays(self):
+        errs = [abs(relative_error(n)) for n in (10, 40, 128)]
         assert errs[0] > errs[1] > errs[2]
 
-    def test_frozen_reference_points(self, table_128):
+    def test_frozen_reference_points(self):
         # values recorded from this implementation, pinned against drift
-        assert relative_error(10, table_128) == pytest.approx(
+        assert relative_error(10) == pytest.approx(
             -0.02389229334660705, rel=1e-12
         )
-        assert relative_error(100, table_128) == pytest.approx(
+        assert relative_error(100) == pytest.approx(
             -0.0023638836814076605, rel=1e-12
         )
 

@@ -1,22 +1,22 @@
 """Sampler tests.
 
-The centerpiece is the decision-path enumeration: for small sizes every
-possible sequence of draws is replayed through the real sampling code and
-the resulting path probabilities are summed per tree as exact rationals.
-Uniformity then reads "each tree totals exactly 1/t_n", with no
-statistics involved.  A chi-square smoke test, determinism checks, depth
-safety, and the draw primitive's edge cases round it out.
+The centerpiece is the exhaustive preimage count.  The sampler's only
+random decision is one uniform star subset, which a pure map turns into
+a tree, so for small sizes every subset is replayed through that map and
+the hits are counted per tree.  Uniformity then reads "each tree of size
+n is hit exactly n times" (each forest of size m exactly m+1 times among
+the accepted subsets), with no statistics involved.  A chi-square smoke
+test, determinism checks, depth safety and range checks round it out.
 """
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from deptrees import (
     SamplerState,
-    build_count_table,
     enumerate_forests,
     enumerate_trees,
     sample_forest,
@@ -26,73 +26,39 @@ from deptrees import (
     size,
     total_size,
 )
-from conftest import forest_path_distribution, tree_path_distribution
+from deptrees.sampler import _forest_from_stars, _tree_from_stars
 
 # alpha = 0.001 critical value for 6 degrees of freedom (the 7 shapes of
 # size 3), frozen from a one-time quantile computation
 CHI2_CRIT_6DOF_999 = 22.457744484825323
 
 
-@pytest.fixture(scope="module")
-def table():
-    return build_count_table(64)
-
-
-class TestDrawBelow:
-    def test_bound_one_consumes_no_entropy(self, table):
-        a = SamplerState(table, 123)
-        b = SamplerState(table, 123)
-        for _ in range(5):
-            assert a.draw_below(1) == 0
-        # both states must now be in identical positions
-        assert [a.draw_below(10) for _ in range(20)] == [
-            b.draw_below(10) for _ in range(20)
-        ]
-
-    def test_rejects_nonpositive(self, table):
-        state = SamplerState(table, 0)
-        for bad in (0, -3):
-            with pytest.raises(ValueError):
-                state.draw_below(bad)
-
-    def test_range(self, table):
-        state = SamplerState(table, 42)
-        for bound in (2, 3, 7, 30, 1 << 80):
-            for _ in range(50):
-                assert 0 <= state.draw_below(bound) < bound
-
-    def test_big_bounds_cover_low_and_high(self, table):
-        state = SamplerState(table, 9)
-        bound = 10**30
-        draws = [state.draw_below(bound) for _ in range(200)]
-        assert min(draws) < bound // 4
-        assert max(draws) > 3 * (bound // 4)
+def star_subsets(n: int):
+    """Every sorted (n-1)-subset of range(3n-2): every draw at size n."""
+    return combinations(range(3 * n - 2), n - 1)
 
 
 class TestExactUniformity:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_tree_paths(self, n, table):
-        dist = tree_path_distribution(n, table)
-        t_n = table.tree_count(n)
-        expected = {serialize(t) for t in enumerate_trees(n)}
-        assert set(dist) == expected
-        assert all(p == Fraction(1, t_n) for p in dist.values())
-        assert sum(dist.values()) == 1
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_tree_paths(self, n):
+        hits = Counter(_tree_from_stars(n, stars) for stars in star_subsets(n))
+        assert set(hits) == {serialize(t) for t in enumerate_trees(n)}
+        assert set(hits.values()) == {n}
 
-    @pytest.mark.parametrize("m", [0, 1, 2, 3])
-    def test_forest_paths(self, m, table):
-        dist = forest_path_distribution(m, table)
-        s_m = table.forest_count(m)
-        expected = {serialize_forest(f) for f in enumerate_forests(m)}
-        assert set(dist) == expected
-        assert all(p == Fraction(1, s_m) for p in dist.values())
-        assert sum(dist.values()) == 1
+    @pytest.mark.parametrize("m", range(0, 6))
+    def test_forest_paths(self, m):
+        hits = Counter(_forest_from_stars(m, stars) for stars in star_subsets(m + 1))
+        rejected = hits.pop(None, 0)
+        assert set(hits) == {serialize_forest(f) for f in enumerate_forests(m)}
+        assert set(hits.values()) == {m + 1}
+        accepted = sum(hits.values())
+        assert accepted * (3 * m + 1) == (accepted + rejected) * (m + 1)
 
 
 class TestStatisticalUniformity:
-    def test_chi_square_size_three(self, table):
+    def test_chi_square_size_three(self):
         shapes = [serialize(t) for t in enumerate_trees(3)]
-        state = SamplerState(table, 20260816)
+        state = SamplerState(20260816)
         draws = 14000
         observed = Counter(
             serialize(sample_tree(3, state)) for _ in range(draws)
@@ -102,8 +68,8 @@ class TestStatisticalUniformity:
         chi2 = sum((observed[s] - expected) ** 2 / expected for s in shapes)
         assert chi2 < CHI2_CRIT_6DOF_999
 
-    def test_size_two_is_a_fair_coin(self, table):
-        state = SamplerState(table, 5)
+    def test_size_two_is_a_fair_coin(self):
+        state = SamplerState(5)
         observed = Counter(
             serialize(sample_tree(2, state)) for _ in range(2000)
         )
@@ -112,57 +78,63 @@ class TestStatisticalUniformity:
 
 
 class TestDeterminism:
-    def test_same_seed_same_stream(self, table):
-        a = SamplerState(table, 777)
-        b = SamplerState(table, 777)
+    def test_same_seed_same_stream(self):
+        a = SamplerState(777)
+        b = SamplerState(777)
         for n in (1, 4, 9, 30):
             assert sample_tree(n, a) == sample_tree(n, b)
         assert sample_forest(12, a) == sample_forest(12, b)
 
-    def test_different_seeds_diverge(self, table):
-        a = SamplerState(table, 1)
-        b = SamplerState(table, 2)
+    def test_different_seeds_diverge(self):
+        a = SamplerState(1)
+        b = SamplerState(2)
         # at n = 40 a collision across 5 draws is morally impossible
         assert [sample_tree(40, a) for _ in range(5)] != [
             sample_tree(40, b) for _ in range(5)
         ]
 
-    def test_seed_recorded(self, table):
-        assert SamplerState(table, 99).seed == 99
+    def test_seed_recorded(self):
+        assert SamplerState(99).seed == 99
 
 
 class TestShapes:
-    def test_sizes_are_exact(self, table):
-        state = SamplerState(table, 31337)
+    def test_sizes_are_exact(self):
+        state = SamplerState(31337)
         for n in (1, 2, 3, 10, 25, 64):
             for _ in range(5):
                 assert size(sample_tree(n, state)) == n
 
-    def test_forest_sizes_are_exact(self, table):
-        state = SamplerState(table, 31338)
+    def test_forest_sizes_are_exact(self):
+        state = SamplerState(31338)
         for m in (0, 1, 5, 40):
             assert total_size(sample_forest(m, state)) == m
 
-    def test_single_node(self, table):
-        state = SamplerState(table, 0)
+    def test_single_node(self):
+        state = SamplerState(0)
         assert serialize(sample_tree(1, state)) == "[|]"
 
-    def test_empty_forest(self, table):
-        state = SamplerState(table, 0)
+    def test_empty_forest(self):
+        state = SamplerState(0)
         assert sample_forest(0, state) == ()
 
     def test_deep_samples_do_not_recurse(self):
-        big = build_count_table(600)
-        state = SamplerState(big, 4)
+        state = SamplerState(4)
         for _ in range(3):
             assert size(sample_tree(600, state)) == 600
+        # stars at 0, 3, 6, ... give every node one left child: a chain
+        n = 5000
+        assert _tree_from_stars(n, range(0, 3 * (n - 1), 3)) == "[" * n + "|]" * n
 
-    def test_range_errors(self, table):
-        state = SamplerState(table, 1)
-        for bad in (0, -2, 65):
-            with pytest.raises(IndexError):
+    def test_large_n_needs_no_table(self):
+        assert size(sample_tree(5000, SamplerState(8))) == 5000
+
+    def test_range_errors(self):
+        state = SamplerState(1)
+        before = state.rng.getstate()
+        for bad in (0, -2):
+            with pytest.raises(ValueError):
                 sample_tree(bad, state)
-        with pytest.raises(IndexError):
+        with pytest.raises(ValueError):
             sample_forest(-1, state)
-        with pytest.raises(IndexError):
-            sample_forest(65, state)
+        # refused before any random bits are drawn
+        assert state.rng.getstate() == before

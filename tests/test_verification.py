@@ -2,7 +2,8 @@
 
 Covers: the suite passing on a healthy build, structured results, fault
 injection through a corrupted count table (both directly and through the
-CLI), crash containment inside checks, and parameter validation.
+CLI) and through a biased sampler, crash containment inside checks, and
+parameter validation.
 """
 from __future__ import annotations
 
@@ -60,25 +61,33 @@ class TestFaultInjection:
         results = run_verification(oracle_limit=4, series_terms=8, table=bad)
         assert not results[0].passed
 
-    def test_crashing_check_is_contained(self):
-        # a table too short for the smoke test must fail, not raise
-        tiny = build_count_table(2)
-        results = run_verification(oracle_limit=2, series_terms=8, table=tiny)
+    def test_crashing_check_is_contained(self, monkeypatch):
+        # a sampler that raises must fail its check, not the suite
+        def broken(n, state):
+            raise RuntimeError("sampler broke")
+
+        monkeypatch.setattr(verification, "sample_tree", broken)
+        results = run_verification(oracle_limit=2, series_terms=8)
         by_name = {r.name: r for r in results}
         assert not by_name["sampler-smoke"].passed
-        assert "IndexError" in by_name["sampler-smoke"].detail
+        assert "RuntimeError" in by_name["sampler-smoke"].detail
         assert by_name["series-identity"].passed
 
-    def test_sampler_bias_detected(self):
-        # halving s_1 skews the n=4 split weights: the chi-square test
-        # must catch the biased sampler even though counts stay positive
-        table = build_count_table(16)
-        s = list(table.s)
-        s[1] = 2
-        biased = CountTable(table.t, tuple(s))
-        results = run_verification(oracle_limit=4, series_terms=8, table=biased)
+    def test_sampler_bias_detected(self, monkeypatch):
+        # redrawing once whenever the root has right children skews the
+        # n=4 shapes toward left-heavy roots: the chi-square test must
+        # catch it even though every shape still appears
+        real = verification.sample_tree
+
+        def biased(n, state):
+            tree = real(n, state)
+            return real(n, state) if tree.right else tree
+
+        monkeypatch.setattr(verification, "sample_tree", biased)
+        results = run_verification(oracle_limit=4, series_terms=8)
         by_name = {r.name: r for r in results}
         assert not by_name["sampler-smoke"].passed
+        assert "chi-square" in by_name["sampler-smoke"].detail
 
 
 class TestValidation:
