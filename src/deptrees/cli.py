@@ -21,9 +21,9 @@ from .counting import (
     relative_error,
     stirling_log_approx,
 )
-from .sampler import SamplerState, sample_tree
+from .sampler import SamplerState, sample_text
 from .series import solve_tree_gf
-from .trees import enumerate_trees, serialize
+from .trees import tree_texts
 from .verification import run_verification
 
 _LN10 = math.log(10.0)
@@ -85,8 +85,8 @@ def _cmd_approx(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    for tree in enumerate_trees(args.n):
-        print(serialize(tree))
+    for text in tree_texts(args.n):
+        print(text)
     return 0
 
 
@@ -97,7 +97,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         print(f"seed {seed}", file=sys.stderr)
     state = SamplerState(seed)
     for _ in range(args.count):
-        print(serialize(sample_tree(args.n, state)))
+        print(sample_text(args.n, state))
     return 0
 
 

@@ -12,9 +12,9 @@ subset therefore gives a uniform tree (Flajolet & Sedgewick, *Analytic
 Combinatorics*, I.5; Devroye, SIAM J. Comput. 2012).
 
 The cost is one ``random.sample`` of n-1 slots, a sort and a linear
-scan: no count table and no big integers.  At n = 10^5 ``sample_tree``
-took 0.35-0.65 s on a 2-vCPU VM, about 0.2 s of it for the draw and the
-map and the rest in ``parse``.  A forest of size m is the left forest of a tree of size
+scan: no count table and no big integers.  :func:`sample_text` returns
+the canonical string the map produces; :func:`sample_tree` parses it into
+a :class:`DepTree`.  A forest of size m is the left forest of a tree of size
 m+1 whose root has no right children, drawn by rejection; a draw is
 accepted with probability (m+1)/(3m+1) >= 1/3.
 
@@ -80,11 +80,16 @@ def _draw_stars(n: int, state: SamplerState) -> list[int]:
     return sorted(state.rng.sample(range(3 * n - 2), n - 1))
 
 
-def sample_tree(n: int, state: SamplerState) -> DepTree:
-    """One uniform tree of size exactly n >= 1."""
+def sample_text(n: int, state: SamplerState) -> str:
+    """The canonical string of one uniform tree of size exactly n >= 1."""
     if n < 1:
         raise ValueError(f"tree size must be at least 1, got {n}")
-    return parse(_tree_from_stars(n, _draw_stars(n, state)))
+    return _tree_from_stars(n, _draw_stars(n, state))
+
+
+def sample_tree(n: int, state: SamplerState) -> DepTree:
+    """One uniform tree of size exactly n >= 1."""
+    return parse(sample_text(n, state))
 
 
 def sample_forest(m: int, state: SamplerState) -> Forest:

@@ -15,7 +15,13 @@ explicit stacks, so chains thousands of nodes deep are safe.
 
 Exhaustive enumeration is intentionally capped (default 10, where there are
 already 690690 trees); it exists as ground truth for the formula-based
-modules, not as a production path.
+modules, not as a production path.  It builds canonical strings directly
+(:func:`tree_texts`, :func:`forest_texts`) and objects only where asked
+(:func:`enumerate_trees`, :func:`enumerate_forests`).  Nothing is cached
+between calls; each call rebuilds every smaller size.  Per call on a 2-vCPU
+VM (tracemalloc peak), ``tree_texts`` took 0.013 / 0.056 / 0.38 s
+(2.5 / 14 / 85 MiB) at n = 8 / 9 / 10, and ``enumerate_trees`` 0.05 / 0.33 /
+2.5 s (7 / 40 / 232 MiB).
 """
 from __future__ import annotations
 
@@ -193,40 +199,79 @@ def parse_forest(s: str) -> Forest:
 # A size-n tree decomposes uniquely into a left forest of size i and a right
 # forest of size j with i + j = n - 1; a nonempty forest decomposes uniquely
 # by the size of its first tree.  Cross products over those decompositions
-# therefore enumerate without duplicates.
-
-_TREES: dict[int, tuple[DepTree, ...]] = {}
-_FORESTS: dict[int, tuple[Forest, ...]] = {0: ((),)}
-
-
-def _trees(n: int) -> tuple[DepTree, ...]:
-    cached = _TREES.get(n)
-    if cached is not None:
-        return cached
-    out = []
-    for i in range(n):
-        for lf in _forests(i):
-            for rf in _forests(n - 1 - i):
-                out.append(DepTree(lf, rf))
-    out.sort(key=serialize)
-    result = tuple(out)
-    _TREES[n] = result
-    return result
+# therefore enumerate without duplicates.  The same products build canonical
+# strings ("[" + left + "|" + right + "]", first tree + rest) or objects paired
+# with their strings; either way a plain sort puts each size in canonical order.
 
 
-def _forests(m: int) -> tuple[Forest, ...]:
-    cached = _FORESTS.get(m)
-    if cached is not None:
-        return cached
-    out = []
-    for k in range(1, m + 1):
-        for first in _trees(k):
-            for rest in _forests(m - k):
-                out.append((first,) + rest)
-    out.sort(key=serialize_forest)
-    result = tuple(out)
-    _FORESTS[m] = result
-    return result
+def _text_tree(left: str, right: str) -> str:
+    return "[" + left + "|" + right + "]"
+
+
+def _object_tree(left: tuple, right: tuple) -> tuple[str, DepTree]:
+    return "[" + left[0] + "|" + right[0] + "]", DepTree(left[1], right[1])
+
+
+def _object_join(first: tuple, rest: tuple) -> tuple[str, Forest]:
+    return first[0] + rest[0], (first[1],) + rest[1]
+
+
+_TEXTS = (_text_tree, str.__add__, "")
+_OBJECTS = (_object_tree, _object_join, ("", ()))
+
+
+def _forests_of(m: int, trees: list, forests: list, kind) -> list:
+    """Sorted forests of size m from the trees of sizes 1..m and the forests
+    of sizes 0..m-1."""
+    _, join, empty = kind
+    if m == 0:
+        return [empty]
+    return sorted(
+        join(first, rest) for k in range(1, m + 1) for first in trees[k] for rest in forests[m - k]
+    )
+
+
+def _oracle(n: int, kind) -> tuple[list, list]:
+    """Sorted lists of the trees of sizes 1..n (``trees[k]``) and of the
+    forests of sizes 0..n-1 (``forests[m]``), built fresh on every call."""
+    tree = kind[0]
+    trees: list = [None]
+    forests: list = []
+    for k in range(n):
+        forests.append(_forests_of(k, trees, forests, kind))
+        trees.append(sorted(
+            tree(left, right) for i in range(k + 1) for left in forests[i] for right in forests[k - i]
+        ))
+    return trees, forests
+
+
+def _check_tree_size(n: int, limit: int) -> None:
+    if n < 1:
+        raise ValueError(f"tree size must be at least 1, got {n}")
+    if n > limit:
+        raise OracleLimitError(n, limit)
+
+
+def _check_forest_size(m: int, limit: int) -> None:
+    if m < 0:
+        raise ValueError(f"forest size must be nonnegative, got {m}")
+    if m > limit:
+        raise OracleLimitError(m, limit)
+
+
+def tree_texts(n: int, limit: int = DEFAULT_ORACLE_LIMIT) -> list[str]:
+    """The canonical string of every tree of size ``n``, in sorted order.
+
+    Refuses ``n > limit`` as :func:`enumerate_trees` does.
+    """
+    _check_tree_size(n, limit)
+    return _oracle(n, _TEXTS)[0][n]
+
+
+def forest_texts(m: int, limit: int = DEFAULT_ORACLE_LIMIT) -> list[str]:
+    """The concatenated string of every forest of total size ``m``, sorted."""
+    _check_forest_size(m, limit)
+    return _forests_of(m, *_oracle(m, _TEXTS), _TEXTS)
 
 
 def enumerate_trees(n: int, limit: int = DEFAULT_ORACLE_LIMIT) -> list[DepTree]:
@@ -235,17 +280,11 @@ def enumerate_trees(n: int, limit: int = DEFAULT_ORACLE_LIMIT) -> list[DepTree]:
     Refuses ``n > limit``: the counts grow like (27/4)^n, so unbounded
     enumeration is never what you want by accident.
     """
-    if n < 1:
-        raise ValueError(f"tree size must be at least 1, got {n}")
-    if n > limit:
-        raise OracleLimitError(n, limit)
-    return list(_trees(n))
+    _check_tree_size(n, limit)
+    return [tree for _, tree in _oracle(n, _OBJECTS)[0][n]]
 
 
 def enumerate_forests(m: int, limit: int = DEFAULT_ORACLE_LIMIT) -> list[Forest]:
     """Every forest of total size ``m``, sorted by concatenated serialization."""
-    if m < 0:
-        raise ValueError(f"forest size must be nonnegative, got {m}")
-    if m > limit:
-        raise OracleLimitError(m, limit)
-    return list(_forests(m))
+    _check_forest_size(m, limit)
+    return [forest for _, forest in _forests_of(m, *_oracle(m, _OBJECTS), _OBJECTS)]

@@ -25,11 +25,10 @@ from dataclasses import dataclass
 from operator import mul
 
 from . import counting
-from .additive import builtin_tolls, cumulative_by_enumeration, cumulative_gf, \
-    cumulative_gf_via_sequences
-from .sampler import SamplerState, sample_tree
+from .additive import builtin_tolls, cumulative_gf, cumulative_gf_via_sequences, fold_cost
+from .sampler import SamplerState, sample_text
 from .series import solve_tree_gf, verify_functional_identity, z_times_derivative
-from .trees import enumerate_forests, enumerate_trees, serialize
+from .trees import DEFAULT_ORACLE_LIMIT, enumerate_trees, forest_texts, tree_texts
 
 #: Chi-square critical value at alpha = 0.001 for 29 degrees of freedom
 #: (the 30 tree shapes of size 4), frozen from a one-time quantile
@@ -95,12 +94,12 @@ def _check_counts(table: counting.CountTable, oracle_limit: int) -> CheckResult:
                 f"m={m}: forest table {table.forest_count(m)}, convolution {conv.s[m]}",
             )
     for n in range(1, oracle_limit + 1):
-        if len(enumerate_trees(n, limit=oracle_limit)) != table.tree_count(n):
+        if len(tree_texts(n, limit=oracle_limit)) != table.tree_count(n):
             return CheckResult(
                 "count-agreement", False, f"enumeration cardinality differs at n={n}"
             )
     for m in range(oracle_limit + 1):
-        if len(enumerate_forests(m, limit=oracle_limit)) != table.forest_count(m):
+        if len(forest_texts(m, limit=oracle_limit)) != table.forest_count(m):
             return CheckResult(
                 "count-agreement", False, f"forest cardinality differs at m={m}"
             )
@@ -132,6 +131,7 @@ def _check_series(series_terms: int) -> CheckResult:
 
 def _check_additive(oracle_limit: int, series_terms: int) -> CheckResult:
     T = solve_tree_gf(series_terms)
+    gfs = []
     for toll in builtin_tolls():
         E = toll.toll_series(T)
         C = cumulative_gf(E, T)
@@ -139,8 +139,12 @@ def _check_additive(oracle_limit: int, series_terms: int) -> CheckResult:
             return CheckResult(
                 "additive-agreement", False, f"toll {toll.name}: the two GF forms differ"
             )
-        for n in range(1, oracle_limit + 1):
-            direct = cumulative_by_enumeration(toll, n, limit=oracle_limit)
+        gfs.append((toll, C))
+    # each size is enumerated once and folded under every toll
+    for n in range(1, oracle_limit + 1):
+        trees = enumerate_trees(n, limit=oracle_limit)
+        for toll, C in gfs:
+            direct = sum(fold_cost(t, toll) for t in trees)
             if C.coefficient(n) != direct:
                 return CheckResult(
                     "additive-agreement",
@@ -155,11 +159,9 @@ def _check_additive(oracle_limit: int, series_terms: int) -> CheckResult:
 
 
 def _check_sampler() -> CheckResult:
-    shapes = [serialize(t) for t in enumerate_trees(_SMOKE_SIZE)]
+    shapes = tree_texts(_SMOKE_SIZE)
     state = SamplerState(_SMOKE_SEED)
-    observed = Counter(
-        serialize(sample_tree(_SMOKE_SIZE, state)) for _ in range(_SMOKE_SAMPLES)
-    )
+    observed = Counter(sample_text(_SMOKE_SIZE, state) for _ in range(_SMOKE_SAMPLES))
     if set(observed) != set(shapes):
         missing = len(set(shapes) ^ set(observed))
         return CheckResult(
@@ -193,8 +195,11 @@ def run_verification(
     table: counting.CountTable | None = None,
 ) -> list[CheckResult]:
     """Run all checks; an injected table lets tests exercise failures."""
-    if oracle_limit < 1:
-        raise ValueError(f"need oracle_limit >= 1, got {oracle_limit}")
+    if not 1 <= oracle_limit <= DEFAULT_ORACLE_LIMIT:
+        raise ValueError(
+            f"need 1 <= oracle_limit <= {DEFAULT_ORACLE_LIMIT} (the enumeration limit), "
+            f"got {oracle_limit}"
+        )
     if series_terms < _SMOKE_SIZE:
         raise ValueError(f"need series_terms >= {_SMOKE_SIZE}, got {series_terms}")
     if table is None:

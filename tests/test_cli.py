@@ -2,7 +2,8 @@
 
 Covers: golden-file byte matches, every output format, seed handling
 (reproducibility, entropy fallback to stderr), the exit-code contract
-(0 success, 1 domain failure, 2 usage), the ``python -m deptrees`` entry,
+(0 success, 1 domain failure, 2 usage), the up-front oracle-limit check
+of ``verify``, the ``python -m deptrees`` entry,
 the BrokenPipe path of ``run()``, and the console-script mapping in
 ``pyproject.toml``.
 """
@@ -19,7 +20,7 @@ import pytest
 
 import deptrees
 import deptrees.__main__
-from deptrees import cli, count_closed_form
+from deptrees import cli, count_closed_form, verification
 
 GOLDEN = Path(__file__).parent / "golden"
 PYPROJECT = Path(__file__).parent.parent / "pyproject.toml"
@@ -169,6 +170,21 @@ class TestEnumerate:
         assert out == ""
         assert err.startswith("error: ")
         assert "limit 10" in err
+
+
+class TestVerify:
+    def test_oracle_limit_above_default_is_refused_up_front(self, capsys, monkeypatch):
+        # enumerating to 11 would take minutes: fail fast if any starts
+        def refuse(*args, **kwargs):
+            raise RuntimeError("enumeration started")
+
+        for name in ("enumerate_trees", "tree_texts", "forest_texts"):
+            monkeypatch.setattr(verification, name, refuse)
+        code, out, err = run_cli(capsys, "verify", "--oracle-limit", "11")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "oracle_limit <= 10" in err
 
 
 class TestSample:

@@ -26,7 +26,7 @@ from deptrees import (
     size,
     total_size,
 )
-from deptrees.sampler import _forest_from_stars, _tree_from_stars
+from deptrees.sampler import _forest_from_stars, _tree_from_stars, sample_text
 
 # alpha = 0.001 critical value for 6 degrees of freedom (the 7 shapes of
 # size 3), frozen from a one-time quantile computation
@@ -92,6 +92,14 @@ class TestDeterminism:
         assert [sample_tree(40, a) for _ in range(5)] != [
             sample_tree(40, b) for _ in range(5)
         ]
+
+    def test_text_is_the_serialized_tree(self):
+        # twin streams: sample_text draws exactly the bits sample_tree draws
+        a = SamplerState(2024)
+        b = SamplerState(2024)
+        for n in (1, 2, 4, 300) * 3:
+            assert sample_text(n, a) == serialize(sample_tree(n, b))
+        assert a.rng.getstate() == b.rng.getstate()
 
     def test_seed_recorded(self):
         assert SamplerState(99).seed == 99

@@ -3,9 +3,14 @@
 Covers: construction and the serialization-backed dunders, iterative
 size/subtree walks, the canonical grammar (round trips and byte-exact
 error offsets), exhaustive enumeration against the known counts, the
-enumeration limit, and deep-chain safety (no recursion anywhere).
+string entry points against the serialized objects, the enumeration
+limit, that nothing outlives a call, and deep-chain safety (no recursion
+anywhere).
 """
 from __future__ import annotations
+
+import gc
+import weakref
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,6 +19,7 @@ from deptrees import (
     DEFAULT_ORACLE_LIMIT,
     DepTree,
     OracleLimitError,
+    build_count_table,
     ParseError,
     enumerate_forests,
     enumerate_trees,
@@ -24,7 +30,7 @@ from deptrees import (
     size,
     total_size,
 )
-from deptrees.trees import iter_subtrees
+from deptrees.trees import forest_texts, iter_subtrees, tree_texts
 
 LEAF = DepTree()
 
@@ -191,22 +197,46 @@ class TestEnumeration:
         assert all(total_size(f) == 3 for f in forests)
         assert {size(f[0]) for f in forests} == {1, 2, 3}
 
+    def test_texts_are_the_serialized_objects(self):
+        table = build_count_table(8)
+        for n in range(1, 9):
+            texts = tree_texts(n)
+            assert texts == [serialize(t) for t in enumerate_trees(n)]
+            assert all(a < b for a, b in zip(texts, texts[1:]))
+            assert len(texts) == table.tree_count(n)
+        for m in range(0, 9):
+            texts = forest_texts(m)
+            assert texts == [serialize_forest(f) for f in enumerate_forests(m)]
+            assert all(a < b for a, b in zip(texts, texts[1:]))
+            assert len(texts) == table.forest_count(m)
+
+    def test_nothing_retained_between_calls(self):
+        trees = enumerate_trees(6)
+        ref = weakref.ref(trees[len(trees) // 2])
+        del trees
+        gc.collect()
+        assert ref() is None
+
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            enumerate_trees(0)
-        with pytest.raises(ValueError):
-            enumerate_forests(-1)
+        # the string entry points check exactly as the object ones do
+        for trees, forests in ((enumerate_trees, enumerate_forests), (tree_texts, forest_texts)):
+            with pytest.raises(ValueError):
+                trees(0)
+            with pytest.raises(ValueError):
+                forests(-1)
 
     def test_oracle_limit(self):
-        with pytest.raises(OracleLimitError) as exc_info:
-            enumerate_trees(DEFAULT_ORACLE_LIMIT + 1)
-        assert exc_info.value.limit == DEFAULT_ORACLE_LIMIT
-        assert str(DEFAULT_ORACLE_LIMIT) in str(exc_info.value)
-        with pytest.raises(OracleLimitError):
-            enumerate_forests(DEFAULT_ORACLE_LIMIT + 1)
+        for trees, forests in ((enumerate_trees, enumerate_forests), (tree_texts, forest_texts)):
+            with pytest.raises(OracleLimitError) as exc_info:
+                trees(DEFAULT_ORACLE_LIMIT + 1)
+            assert exc_info.value.limit == DEFAULT_ORACLE_LIMIT
+            assert str(DEFAULT_ORACLE_LIMIT) in str(exc_info.value)
+            with pytest.raises(OracleLimitError):
+                forests(DEFAULT_ORACLE_LIMIT + 1)
 
     def test_limit_is_overridable(self):
-        assert len(enumerate_trees(3, limit=3)) == 7
-        with pytest.raises(OracleLimitError) as exc_info:
-            enumerate_trees(4, limit=3)
-        assert exc_info.value.limit == 3
+        for trees in (enumerate_trees, tree_texts):
+            assert len(trees(3, limit=3)) == 7
+            with pytest.raises(OracleLimitError) as exc_info:
+                trees(4, limit=3)
+            assert exc_info.value.limit == 3

@@ -66,7 +66,7 @@ class TestFaultInjection:
         def broken(n, state):
             raise RuntimeError("sampler broke")
 
-        monkeypatch.setattr(verification, "sample_tree", broken)
+        monkeypatch.setattr(verification, "sample_text", broken)
         results = run_verification(oracle_limit=2, series_terms=8)
         by_name = {r.name: r for r in results}
         assert not by_name["sampler-smoke"].passed
@@ -74,16 +74,17 @@ class TestFaultInjection:
         assert by_name["series-identity"].passed
 
     def test_sampler_bias_detected(self, monkeypatch):
-        # redrawing once whenever the root has right children skews the
-        # n=4 shapes toward left-heavy roots: the chi-square test must
-        # catch it even though every shape still appears
-        real = verification.sample_tree
+        # redrawing once whenever the root has right children (the text
+        # does not end in "|]") skews the n=4 shapes toward left-heavy
+        # roots: the chi-square test must catch it even though every shape
+        # still appears
+        real = verification.sample_text
 
         def biased(n, state):
-            tree = real(n, state)
-            return real(n, state) if tree.right else tree
+            text = real(n, state)
+            return text if text.endswith("|]") else real(n, state)
 
-        monkeypatch.setattr(verification, "sample_tree", biased)
+        monkeypatch.setattr(verification, "sample_text", biased)
         results = run_verification(oracle_limit=4, series_terms=8)
         by_name = {r.name: r for r in results}
         assert not by_name["sampler-smoke"].passed
