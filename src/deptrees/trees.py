@@ -16,7 +16,7 @@ explicit stacks, so chains thousands of nodes deep are safe.
 Exhaustive enumeration is intentionally capped (default 10, where there are
 already 690690 trees); it exists as ground truth for the formula-based
 modules, not as a production path.  It builds canonical strings directly
-(:func:`tree_texts`, :func:`forest_texts`) and objects only where asked
+(:func:`tree_texts`, :func:`oracle_texts`) and objects only where asked
 (:func:`enumerate_trees`, :func:`enumerate_forests`).  Nothing is cached
 between calls; each call rebuilds every smaller size.  Per call on a 2-vCPU
 VM (tracemalloc peak), ``tree_texts`` took 0.013 / 0.056 / 0.38 s
@@ -259,19 +259,23 @@ def _check_forest_size(m: int, limit: int) -> None:
         raise OracleLimitError(m, limit)
 
 
-def tree_texts(n: int, limit: int = DEFAULT_ORACLE_LIMIT) -> list[str]:
+def tree_texts(n: int) -> list[str]:
     """The canonical string of every tree of size ``n``, in sorted order.
 
-    Refuses ``n > limit`` as :func:`enumerate_trees` does.
+    Refuses ``n > DEFAULT_ORACLE_LIMIT`` as :func:`enumerate_trees` does.
     """
-    _check_tree_size(n, limit)
+    _check_tree_size(n, DEFAULT_ORACLE_LIMIT)
     return _oracle(n, _TEXTS)[0][n]
 
 
-def forest_texts(m: int, limit: int = DEFAULT_ORACLE_LIMIT) -> list[str]:
-    """The concatenated string of every forest of total size ``m``, sorted."""
-    _check_forest_size(m, limit)
-    return _forests_of(m, *_oracle(m, _TEXTS), _TEXTS)
+def oracle_texts(n: int) -> tuple[list, list[list[str]]]:
+    """Sorted canonical strings of the trees of every size 1..n (``trees[k]``)
+    and of the forests of every size 0..n (``forests[m]``, concatenated), all
+    from one pass.  Refuses ``n > DEFAULT_ORACLE_LIMIT``."""
+    _check_forest_size(n, DEFAULT_ORACLE_LIMIT)
+    trees, forests = _oracle(n, _TEXTS)
+    forests.append(_forests_of(n, trees, forests, _TEXTS))
+    return trees, forests
 
 
 def enumerate_trees(n: int, limit: int = DEFAULT_ORACLE_LIMIT) -> list[DepTree]:

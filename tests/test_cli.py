@@ -178,7 +178,7 @@ class TestVerify:
         def refuse(*args, **kwargs):
             raise RuntimeError("enumeration started")
 
-        for name in ("enumerate_trees", "tree_texts", "forest_texts"):
+        for name in ("enumerate_trees", "tree_texts", "oracle_texts"):
             monkeypatch.setattr(verification, name, refuse)
         code, out, err = run_cli(capsys, "verify", "--oracle-limit", "11")
         assert code == 1

@@ -30,7 +30,7 @@ from deptrees import (
     size,
     total_size,
 )
-from deptrees.trees import forest_texts, iter_subtrees, tree_texts
+from deptrees.trees import iter_subtrees, oracle_texts, tree_texts
 
 LEAF = DepTree()
 
@@ -199,13 +199,16 @@ class TestEnumeration:
 
     def test_texts_are_the_serialized_objects(self):
         table = build_count_table(8)
+        trees, forests = oracle_texts(8)
         for n in range(1, 9):
             texts = tree_texts(n)
+            assert texts == trees[n]
             assert texts == [serialize(t) for t in enumerate_trees(n)]
             assert all(a < b for a, b in zip(texts, texts[1:]))
             assert len(texts) == table.tree_count(n)
+        assert len(forests) == 9
         for m in range(0, 9):
-            texts = forest_texts(m)
+            texts = forests[m]
             assert texts == [serialize_forest(f) for f in enumerate_forests(m)]
             assert all(a < b for a, b in zip(texts, texts[1:]))
             assert len(texts) == table.forest_count(m)
@@ -219,14 +222,14 @@ class TestEnumeration:
 
     def test_domain_errors(self):
         # the string entry points check exactly as the object ones do
-        for trees, forests in ((enumerate_trees, enumerate_forests), (tree_texts, forest_texts)):
+        for trees, forests in ((enumerate_trees, enumerate_forests), (tree_texts, oracle_texts)):
             with pytest.raises(ValueError):
                 trees(0)
             with pytest.raises(ValueError):
                 forests(-1)
 
     def test_oracle_limit(self):
-        for trees, forests in ((enumerate_trees, enumerate_forests), (tree_texts, forest_texts)):
+        for trees, forests in ((enumerate_trees, enumerate_forests), (tree_texts, oracle_texts)):
             with pytest.raises(OracleLimitError) as exc_info:
                 trees(DEFAULT_ORACLE_LIMIT + 1)
             assert exc_info.value.limit == DEFAULT_ORACLE_LIMIT
@@ -235,8 +238,7 @@ class TestEnumeration:
                 forests(DEFAULT_ORACLE_LIMIT + 1)
 
     def test_limit_is_overridable(self):
-        for trees in (enumerate_trees, tree_texts):
-            assert len(trees(3, limit=3)) == 7
-            with pytest.raises(OracleLimitError) as exc_info:
-                trees(4, limit=3)
-            assert exc_info.value.limit == 3
+        assert len(enumerate_trees(3, limit=3)) == 7
+        with pytest.raises(OracleLimitError) as exc_info:
+            enumerate_trees(4, limit=3)
+        assert exc_info.value.limit == 3
