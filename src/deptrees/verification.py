@@ -142,7 +142,7 @@ def _check_additive(oracle_limit: int, series_terms: int) -> CheckResult:
             )
         gfs.append((toll, C))
     # each size is enumerated once and folded under every toll.  Rebuilding
-    # the smaller sizes per call costs about 4% of the enumeration, a sliver
+    # the smaller sizes per call cost 4% of the enumeration at n = 9, a sliver
     # of the folds; the previous size is dropped first, so the peak is one pass.
     for n in range(1, oracle_limit + 1):
         trees = enumerate_trees(n)
