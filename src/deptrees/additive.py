@@ -17,29 +17,26 @@ both are cross-checked against literal enumeration for small sizes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Callable, Optional
 
 from .counting import CountTable
 from .series import PowerSeries, _shift_up, z_times_derivative
 from .trees import DEFAULT_ORACLE_LIMIT, DepTree, OracleLimitError, enumerate_trees, size
 
 
-@dataclass(frozen=True)
-class TollSpec:
+class TollSpec(
+    namedtuple("TollSpec", "name evaluate toll_gf description", defaults=(None, ""))
+):
     """A toll e(t) plus, for builtins, a closed form for E(z).
 
     ``evaluate`` must be a pure function of the tree value returning a
-    nonnegative int.  ``toll_gf`` maps the tree GF T(z) to E(z) at the
-    same order; tolls without one fall back to enumeration
-    (oracle-limited).
+    nonnegative int.  ``toll_gf``, if not None, maps the tree GF T(z) to
+    E(z) at the same order; tolls without one fall back to enumeration
+    (oracle-limited).  ``description`` defaults to "".
     """
 
-    name: str
-    evaluate: Callable[[DepTree], int]
-    toll_gf: Optional[Callable[[PowerSeries], PowerSeries]] = None
-    description: str = ""
+    __slots__ = ()
 
     def toll_series(self, T: PowerSeries, limit: int = DEFAULT_ORACLE_LIMIT) -> PowerSeries:
         """E(z) to the order of ``T``, from the closed form over ``T`` or

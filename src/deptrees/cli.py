@@ -8,10 +8,8 @@ their flags, including --seed.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
-import secrets
 import sys
 
 from .additive import mean_parameter, toll_by_name
@@ -56,6 +54,8 @@ def _print_counts(rows: list[tuple[int, int]], fmt: str) -> None:
         for n, t in rows:
             print(f"{n},{t}")
     else:
+        import json
+
         payload = [{"n": n, "value": str(t)} for n, t in rows]
         print(json.dumps(payload, indent=2))
 
@@ -93,6 +93,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 def _cmd_sample(args: argparse.Namespace) -> int:
     seed = args.seed
     if seed is None:
+        import secrets
+
         seed = secrets.randbits(64)
         print(f"seed {seed}", file=sys.stderr)
     state = SamplerState(seed)

@@ -21,7 +21,7 @@ exact big-integer arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 #: t_{n+1}/t_n converges to 27/4; equivalently the generating function has
@@ -33,12 +33,9 @@ _AMPLITUDE_LOG = -0.5 * math.log(27.0 * math.pi)
 _LOG_GROWTH = math.log(6.75)
 
 
-@dataclass(frozen=True)
-class AsymptoticConstants:
-    growth_rate: Fraction
-    singularity: Fraction
-    amplitude_log: float
-    exponent: float
+AsymptoticConstants = namedtuple(
+    "AsymptoticConstants", "growth_rate singularity amplitude_log exponent"
+)
 
 
 #: Constants of the leading-order approximation
@@ -51,17 +48,15 @@ ASYMPTOTICS = AsymptoticConstants(
 )
 
 
-@dataclass(frozen=True)
-class CountTable:
+class CountTable(namedtuple("CountTable", "t s")):
     """Immutable tables of tree counts t_n and forest counts s_m.
 
     ``t[n]`` counts trees of size n (``t[0]`` is the 0 sentinel); ``s[m]``
-    counts forests of total size m.  Both tuples run through index
+    counts forests of total size m.  Both tuples of ints run through index
     ``n_max``.
     """
 
-    t: tuple[int, ...]
-    s: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def n_max(self) -> int:

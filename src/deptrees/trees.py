@@ -25,8 +25,6 @@ VM (tracemalloc peak), ``tree_texts`` took 0.013 / 0.056 / 0.38 s
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 DEFAULT_ORACLE_LIMIT = 10
 
 
@@ -49,7 +47,6 @@ class OracleLimitError(ValueError):
         self.limit = limit
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class DepTree:
     """An immutable dependency tree node.
 
@@ -58,14 +55,20 @@ class DepTree:
     overflow on deep chains).
     """
 
-    left: tuple[DepTree, ...] = ()
-    right: tuple[DepTree, ...] = ()
+    __slots__ = ("left", "right", "__weakref__")
 
-    def __post_init__(self):
-        if not isinstance(self.left, tuple):
-            object.__setattr__(self, "left", tuple(self.left))
-        if not isinstance(self.right, tuple):
-            object.__setattr__(self, "right", tuple(self.right))
+    def __init__(self, left: tuple[DepTree, ...] = (), right: tuple[DepTree, ...] = ()):
+        object.__setattr__(self, "left", left if isinstance(left, tuple) else tuple(left))
+        object.__setattr__(self, "right", right if isinstance(right, tuple) else tuple(right))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("DepTree is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("DepTree is immutable")
+
+    def __reduce__(self):
+        return DepTree, (self.left, self.right)
 
     def __eq__(self, other):
         if self is other:

@@ -2,10 +2,10 @@
 
 Covers: golden-file byte matches, every output format, seed handling
 (reproducibility, entropy fallback to stderr), the exit-code contract
-(0 success, 1 domain failure, 2 usage), the up-front oracle-limit check
-of ``verify``, the ``python -m deptrees`` entry,
-the BrokenPipe path of ``run()``, and the console-script mapping in
-``pyproject.toml``.
+(0 success, 1 domain failure, 2 usage), the up-front oracle-limit and
+series-terms checks of ``verify``, the ``python -m deptrees`` entry,
+the BrokenPipe path of ``run()``, the console-script mapping in
+``pyproject.toml``, and what a cold ``import deptrees.cli`` loads.
 """
 from __future__ import annotations
 
@@ -186,6 +186,20 @@ class TestVerify:
         assert err.startswith("error: ")
         assert "oracle_limit <= 10" in err
 
+    def test_series_terms_above_bound_is_refused_up_front(self, capsys, monkeypatch):
+        # the check routes are quadratic in the order: fail fast if any starts
+        def refuse(*args, **kwargs):
+            raise RuntimeError("check started")
+
+        for name in ("_check_counts", "_check_series", "_check_additive"):
+            monkeypatch.setattr(verification, name, refuse)
+        monkeypatch.setattr(verification.counting, "build_count_table", refuse)
+        code, out, err = run_cli(capsys, "verify", "--series-terms", "513")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "series_terms <= 512" in err
+
 
 class TestSample:
     def test_seeded_runs_are_identical(self, capsys):
@@ -293,3 +307,27 @@ class TestDispatch:
         assert code == 1
         assert first == "[[[[[[[[|]|]|]|]|]|]|]|]\n"
         assert "Traceback" not in stderr
+
+
+class TestStartup:
+    def test_cold_import_loads_every_layer_and_no_heavy_stdlib(self):
+        # Every request is a fresh interpreter, so the import graph is paid
+        # per request.  All submodules stay eagerly imported: a wrapper put on
+        # a module after the import (as a tracer does) then sees every layer.
+        layers = {
+            f"deptrees.{path.stem}"
+            for path in Path(deptrees.__file__).parent.glob("*.py")
+            if path.stem not in ("__init__", "__main__")
+        }
+        code = "import deptrees.cli, sys; print(*sorted(sys.modules))"
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.split())
+        assert loaded.isdisjoint({"dataclasses", "typing", "inspect", "secrets", "json"})
+        assert layers and layers <= loaded

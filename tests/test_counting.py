@@ -61,6 +61,17 @@ class TestCountTable:
         with pytest.raises(ValueError):
             build_count_table(0)
 
+    def test_frozen_value(self):
+        table = build_count_table(4)
+        for field in ("t", "s"):
+            with pytest.raises(AttributeError):
+                setattr(table, field, ())
+            with pytest.raises(AttributeError):
+                delattr(table, field)
+        assert table == CountTable(table.t, table.s)
+        assert hash(table) == hash(CountTable(table.t, table.s))
+        assert repr(CountTable((0, 1), (1, 1))) == "CountTable(t=(0, 1), s=(1, 1))"
+
     def test_matches_enumeration(self, table_128):
         for n in range(1, 7):
             assert table_128.tree_count(n) == len(enumerate_trees(n))
@@ -104,6 +115,10 @@ class TestAsymptotics:
         assert GROWTH_RATE * SINGULARITY == 1
         assert ASYMPTOTICS.exponent == -1.5
         assert ASYMPTOTICS.amplitude_log == pytest.approx(-0.5 * math.log(27 * math.pi))
+        assert ASYMPTOTICS.growth_rate == GROWTH_RATE
+        assert ASYMPTOTICS.singularity == SINGULARITY
+        with pytest.raises(AttributeError):
+            ASYMPTOTICS.exponent = -1
 
     def test_log_approx_at_one(self):
         # ln(4/(27 sqrt(3 pi))) by hand

@@ -9,7 +9,9 @@ anywhere).
 """
 from __future__ import annotations
 
+import copy
 import gc
+import pickle
 import weakref
 
 import pytest
@@ -64,8 +66,21 @@ class TestDepTree:
         assert size(t) == 4
 
     def test_frozen(self):
+        t = DepTree(left=(LEAF,))
+        for field in ("left", "right"):
+            with pytest.raises(AttributeError):
+                setattr(t, field, (LEAF,))
+            with pytest.raises(AttributeError):
+                delattr(t, field)
         with pytest.raises(AttributeError):
-            LEAF.left = (LEAF,)
+            t.extra = 1
+        assert t.left == (LEAF,) and t.right == ()
+
+    def test_pickle_and_copy_round_trip(self):
+        t = parse("[[|][|]|[[|]|]]")
+        for clone in (pickle.loads(pickle.dumps(t)), copy.deepcopy(t), copy.copy(t)):
+            assert clone == t
+            assert serialize(clone) == serialize(t)
 
     def test_equality_is_structural(self):
         a = DepTree(left=(LEAF,))

@@ -31,6 +31,16 @@ class TestHealthyRun:
         assert all(r.passed for r in results)
         assert all(isinstance(r, CheckResult) and r.detail for r in results)
 
+    def test_results_are_immutable_values(self):
+        result = CheckResult("count-agreement", True, "detail")
+        assert result == CheckResult(name="count-agreement", passed=True, detail="detail")
+        assert repr(result) == "CheckResult(name='count-agreement', passed=True, detail='detail')"
+        for field in ("name", "passed", "detail"):
+            with pytest.raises(AttributeError):
+                setattr(result, field, None)
+            with pytest.raises(AttributeError):
+                delattr(result, field)
+
     def test_injected_table_is_used(self):
         table = build_count_table(16)
         results = run_verification(oracle_limit=4, series_terms=8, table=table)
@@ -99,6 +109,8 @@ class TestValidation:
     def test_series_terms_bounds(self):
         with pytest.raises(ValueError):
             run_verification(series_terms=3)
+        with pytest.raises(ValueError, match="series_terms <= 512"):
+            run_verification(series_terms=verification.MAX_SERIES_TERMS + 1)
 
 
 class TestCliIntegration:
