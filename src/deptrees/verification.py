@@ -36,7 +36,7 @@ CHI2_CRIT_29DOF_999 = 58.301173489794905
 
 #: largest ``series_terms`` a run accepts.  The count check convolves to that
 #: order in O(N^2) big-int products and the series checks multiply series
-#: of that order: 2.4 s at 512 and 15.7 s at 1024 on a 2-vCPU VM.
+#: of that order: about 2 s at 512 and 16 s at 1024 on a 2-vCPU VM.
 MAX_SERIES_TERMS = 512
 
 _SMOKE_SEED = 7
