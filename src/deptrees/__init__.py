@@ -15,8 +15,6 @@ from .additive import (
     TollSpec,
     builtin_tolls,
     cumulative_by_enumeration,
-    cumulative_gf,
-    cumulative_gf_via_sequences,
     fold_cost,
     mean_parameter,
     toll_by_name,
@@ -80,8 +78,6 @@ __all__ = [
     "builtin_tolls",
     "count_closed_form",
     "cumulative_by_enumeration",
-    "cumulative_gf",
-    "cumulative_gf_via_sequences",
     "enumerate_forests",
     "enumerate_trees",
     "eval_T_numeric",

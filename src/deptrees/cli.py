@@ -112,9 +112,8 @@ def _cmd_series(args: argparse.Namespace) -> int:
 
 
 def _cmd_param(args: argparse.Namespace) -> int:
-    table = build_count_table(args.n)
-    mean = mean_parameter(toll_by_name(args.toll), args.n, table)
-    total = mean * table.tree_count(args.n)
+    mean = mean_parameter(toll_by_name(args.toll), args.n)
+    total = mean * count_closed_form(args.n)
     print("n,total,mean_num,mean_den")
     print(f"{args.n},{total},{mean.numerator},{mean.denominator}")
     return 0

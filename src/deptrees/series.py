@@ -47,6 +47,12 @@ class PowerSeries:
     def __setattr__(self, name, value):
         raise AttributeError("PowerSeries is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("PowerSeries is immutable")
+
+    def __reduce__(self):
+        return PowerSeries, (self.coeffs,)
+
     @classmethod
     def zero(cls, order: int) -> PowerSeries:
         return cls((0,) * (order + 1))

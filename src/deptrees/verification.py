@@ -7,12 +7,13 @@ each other:
                      recurrences, t vs closed form and Lagrange extraction,
                      and both vs exhaustive enumeration
   series-identity    T(1-T)^2 = z coefficientwise, and zT' = T(1-T)/(1-3T)
-  additive-agreement both cumulative GF forms, and GF totals vs enumeration
+  additive-agreement the builtin tolls' closed-form totals vs both cumulative
+                     GF forms, and the GF vs folds over enumeration
   sampler-smoke      coverage and chi-square at n = 4 under a fixed seed
 
 The convolution recurrences of the class construction
-(:func:`convolution_table`) serve no production path; they exist here only
-as the route the count tables are checked against.
+(:func:`convolution_table`) and both cumulative GF forms serve no
+production path; they exist here only as check routes.
 
 Used by the CLI verify subcommand; returns structured results so callers
 decide presentation and exit codes.  A check that raises is reported as a
@@ -24,9 +25,15 @@ from collections import Counter, namedtuple
 from operator import mul
 
 from . import counting
-from .additive import builtin_tolls, cumulative_gf, cumulative_gf_via_sequences, fold_cost
+from .additive import builtin_tolls, fold_cost
 from .sampler import SamplerState, sample_text
-from .series import solve_tree_gf, verify_functional_identity, z_times_derivative
+from .series import (
+    PowerSeries,
+    _shift_up,
+    solve_tree_gf,
+    verify_functional_identity,
+    z_times_derivative,
+)
 from .trees import DEFAULT_ORACLE_LIMIT, enumerate_trees, oracle_texts, tree_texts
 
 #: Chi-square critical value at alpha = 0.001 for 29 degrees of freedom
@@ -71,6 +78,31 @@ def convolution_table(n_max: int) -> counting.CountTable:
         t[m] = acc
         s[m] = sum(map(mul, t[1 : m + 1], s[m - 1 :: -1]))
     return counting.CountTable(tuple(t), tuple(s))
+
+
+#: builtin toll name -> E(z) = sum of e(t) z^{|t|}, from T(z) at its order
+_TOLL_GFS = {
+    "unit": lambda T: T,
+    "leaf": lambda T: PowerSeries.monomial(T.order, 1),
+    "size": z_times_derivative,
+}
+
+
+def cumulative_gf(E: PowerSeries, T: PowerSeries) -> PowerSeries:
+    """C = E (1-T) / (1-3T), at the smaller input order."""
+    return E * (1 - T) * (3 * T).quasi_inverse()
+
+
+def cumulative_gf_via_sequences(E: PowerSeries, T: PowerSeries) -> PowerSeries:
+    """C = E / (1 - 2z/(1-T)^3), the unsimplified sequence form.
+
+    Kept deliberately separate from :func:`cumulative_gf`; agreement of the
+    two routes is one of the verification checks.
+    """
+    # 1/(1-T)^3 as the quasi-inverse of 1 - (1-T)^3, which has no constant term
+    one_minus_T_cubed = (1 - T).square() * (1 - T)
+    kernel = _shift_up((1 - one_minus_T_cubed).quasi_inverse()) * 2
+    return E * kernel.quasi_inverse()
 
 
 def _check_counts(table: counting.CountTable, oracle_limit: int) -> CheckResult:
@@ -134,12 +166,20 @@ def _check_additive(oracle_limit: int, series_terms: int) -> CheckResult:
     T = solve_tree_gf(series_terms)
     gfs = []
     for toll in builtin_tolls():
-        E = toll.toll_series(T)
+        E = _TOLL_GFS[toll.name](T)
         C = cumulative_gf(E, T)
         if C != cumulative_gf_via_sequences(E, T):
             return CheckResult(
                 "additive-agreement", False, f"toll {toll.name}: the two GF forms differ"
             )
+        for n in range(1, series_terms + 1):
+            closed = toll.total(n)
+            if closed != C.coefficient(n):
+                return CheckResult(
+                    "additive-agreement",
+                    False,
+                    f"toll {toll.name}, n={n}: closed form {closed} vs GF {C.coefficient(n)}",
+                )
         gfs.append((toll, C))
     # each size is enumerated once and folded under every toll.  Rebuilding
     # the smaller sizes per call cost 4% of the enumeration at n = 9, a sliver
@@ -158,7 +198,8 @@ def _check_additive(oracle_limit: int, series_terms: int) -> CheckResult:
     return CheckResult(
         "additive-agreement",
         True,
-        f"both GF forms and oracle totals agree (order {series_terms}, oracle n<={oracle_limit})",
+        f"closed forms, both GF forms and oracle totals agree "
+        f"(order {series_terms}, oracle n<={oracle_limit})",
     )
 
 

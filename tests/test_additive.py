@@ -1,13 +1,15 @@
 """Additive-parameter tests.
 
 Covers: fold_cost against its defining recursion and against the
-sum-over-subtrees identity, the three builtin toll GFs, agreement of the
-two cumulative GF forms, GF totals against exhaustive enumeration,
-linearity, the unit-toll derivative identity, exact means,
-enumeration-backed custom tolls, and toll validation.
+sum-over-subtrees identity, the builtin tolls' closed-form totals against
+the cumulative GF, the verification map of builtin toll GFs, agreement of
+the two cumulative GF forms, GF totals against exhaustive enumeration,
+linearity, the unit-toll derivative identity, exact means and their
+asymptotics, enumeration-backed custom tolls, and toll validation.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -17,23 +19,19 @@ from deptrees import (
     DepTree,
     PowerSeries,
     TollSpec,
-    build_count_table,
     builtin_tolls,
     cumulative_by_enumeration,
-    cumulative_gf,
-    cumulative_gf_via_sequences,
     enumerate_trees,
     fold_cost,
     mean_parameter,
     parse,
-    serialize,
-    size,
     solve_tree_gf,
     toll_by_name,
+    trees,
     z_times_derivative,
 )
-from deptrees.additive import toll_gf_by_enumeration
 from deptrees.trees import OracleLimitError, iter_subtrees
+from deptrees.verification import _TOLL_GFS, cumulative_gf, cumulative_gf_via_sequences
 
 LEAF = DepTree()
 
@@ -42,9 +40,14 @@ small_trees = st.integers(1, 5).flatmap(
 )
 
 
-@pytest.fixture(scope="module")
-def table_16():
-    return build_count_table(16)
+# frozen asymptotic tolerances for the means (measured values noted alongside):
+# leaf mean / n -> 4/9, and (size mean - n) / n^(3/2) -> sqrt(pi/3)
+LEAF_MEAN_GAP_TOL_AT_1000 = 1e-4   # measured 7.41e-05
+SIZE_MEAN_GAP_TOL_AT_10000 = 0.01  # measured 0.0078 (0.0248 at n = 1000)
+
+
+def toll_gf(name: str, order: int) -> PowerSeries:
+    return _TOLL_GFS[name](solve_tree_gf(order))
 
 
 def leaf_count(t: DepTree) -> int:
@@ -94,10 +97,10 @@ class TestBuiltinTolls:
             return 1
 
         spec = TollSpec("x", evaluate)
-        assert (spec.name, spec.evaluate, spec.toll_gf, spec.description) == ("x", evaluate, None, "")
+        assert (spec.name, spec.evaluate, spec.total, spec.description) == ("x", evaluate, None, "")
         assert spec == TollSpec("x", evaluate, None, "")
         assert hash(spec) == hash(TollSpec("x", evaluate))
-        for field in ("name", "evaluate", "toll_gf", "description"):
+        for field in ("name", "evaluate", "total", "description"):
             with pytest.raises(AttributeError):
                 setattr(spec, field, None)
             with pytest.raises(AttributeError):
@@ -110,31 +113,39 @@ class TestBuiltinTolls:
 
     def test_unit_gf_is_tree_gf(self):
         T = solve_tree_gf(12)
-        assert toll_by_name("unit").toll_series(T) == T
-        assert toll_by_name("unit").toll_series(T).coefficient(3) == 7
+        assert _TOLL_GFS["unit"](T) == T
+        assert _TOLL_GFS["unit"](T).coefficient(3) == 7
 
     def test_leaf_gf_is_z(self):
-        E = toll_by_name("leaf").toll_series(solve_tree_gf(9))
-        assert E == PowerSeries.monomial(9, 1)
+        assert toll_gf("leaf", 9) == PowerSeries.monomial(9, 1)
 
     def test_size_gf_is_z_T_prime(self):
-        E = toll_by_name("size").toll_series(solve_tree_gf(12))
+        E = toll_gf("size", 12)
         assert E == z_times_derivative(solve_tree_gf(12))
         assert E.coefficient(3) == 21
 
     def test_gfs_match_enumeration(self):
-        # the TollSpec invariant, checked for every builtin
+        # the verification map covers exactly the builtins, each E(z) equal
+        # to e summed over the oracle's trees of every size
+        assert set(_TOLL_GFS) == {toll.name for toll in builtin_tolls()}
         for toll in builtin_tolls():
-            E = toll.toll_series(solve_tree_gf(6))
-            direct = toll_gf_by_enumeration(toll, 6)
-            assert E == direct, toll.name
+            direct = [0] + [
+                sum(toll.evaluate(t) for t in enumerate_trees(n)) for n in range(1, 7)
+            ]
+            assert toll_gf(toll.name, 6).coeffs == tuple(direct), toll.name
+
+    def test_totals_match_the_cumulative_gf(self):
+        T = solve_tree_gf(200)
+        for toll in builtin_tolls():
+            C = cumulative_gf(_TOLL_GFS[toll.name](T), T)
+            assert [toll.total(n) for n in range(1, 201)] == list(C.coeffs[1:]), toll.name
 
 
 class TestCumulativeGF:
     def test_both_forms_agree(self):
         T = solve_tree_gf(32)
         for toll in builtin_tolls():
-            E = toll.toll_series(T)
+            E = _TOLL_GFS[toll.name](T)
             assert cumulative_gf(E, T) == cumulative_gf_via_sequences(E, T)
 
     def test_unit_gives_z_T_prime(self):
@@ -154,8 +165,8 @@ class TestCumulativeGF:
 
     def test_linearity(self):
         T = solve_tree_gf(16)
-        E1 = toll_by_name("leaf").toll_series(T)
-        E2 = toll_by_name("size").toll_series(T)
+        E1 = _TOLL_GFS["leaf"](T)
+        E2 = _TOLL_GFS["size"](T)
         lhs = cumulative_gf(E1 + E2, T)
         assert lhs == cumulative_gf(E1, T) + cumulative_gf(E2, T)
 
@@ -167,7 +178,7 @@ class TestCumulativeGF:
     def test_matches_enumeration(self):
         T = solve_tree_gf(6)
         for toll in builtin_tolls():
-            C = cumulative_gf(toll.toll_series(T), T)
+            C = cumulative_gf(_TOLL_GFS[toll.name](T), T)
             for n in range(1, 7):
                 assert C.coefficient(n) == cumulative_by_enumeration(toll, n)
 
@@ -180,16 +191,17 @@ class TestCumulativeGF:
 
 
 class TestEnumerationRoute:
-    def test_respects_oracle_limit(self):
+    def test_respects_oracle_limit(self, monkeypatch):
+        # refused before the oracle builds a single tree
+        def no_enumeration(*args):
+            raise AssertionError("enumeration started")
+
+        monkeypatch.setattr(trees, "_oracle", no_enumeration)
+        internal = TollSpec("internal", lambda t: 1 if t.left or t.right else 0)
         with pytest.raises(OracleLimitError):
             cumulative_by_enumeration(toll_by_name("leaf"), 11)
         with pytest.raises(OracleLimitError):
-            toll_gf_by_enumeration(toll_by_name("leaf"), 11)
-
-    def test_custom_toll_gf_must_keep_the_order(self):
-        short = TollSpec("short", lambda t: 1, lambda T: T.truncate(T.order - 1))
-        with pytest.raises(ValueError, match="order 5, wanted 6"):
-            short.toll_series(solve_tree_gf(6))
+            mean_parameter(internal, 11)
 
     def test_rejects_nonpositive_size(self):
         with pytest.raises(ValueError):
@@ -200,36 +212,49 @@ class TestEnumerationRoute:
         internal = TollSpec(
             "internal", lambda t: 1 if t.left or t.right else 0
         )
-        T = solve_tree_gf(6)
-        E = internal.toll_series(T)
-        C = cumulative_gf(E, T)
+        leaf = toll_by_name("leaf")
         for n in range(1, 7):
-            assert C.coefficient(n) == cumulative_by_enumeration(internal, n)
-        # leaves + internal nodes = all nodes
-        leaf_E = toll_by_name("leaf").toll_series(T)
-        assert E + leaf_E == T
+            direct = sum(fold_cost(t, internal) for t in enumerate_trees(n))
+            mean = mean_parameter(internal, n)
+            assert mean == Fraction(direct, len(enumerate_trees(n)))
+            # leaves + internal nodes = all nodes
+            assert mean + mean_parameter(leaf, n) == n
 
 
 class TestMeans:
-    def test_unit_mean_is_n(self, table_16):
+    def test_unit_mean_is_n(self):
         unit = toll_by_name("unit")
-        for n in (1, 2, 5, 16):
-            assert mean_parameter(unit, n, table_16) == n
+        for n in (1, 2, 5, 16, 3000):
+            assert mean_parameter(unit, n) == n
 
-    def test_leaf_means(self, table_16):
+    def test_leaf_means(self):
         leaf = toll_by_name("leaf")
-        assert mean_parameter(leaf, 1, table_16) == 1
-        assert mean_parameter(leaf, 3, table_16) == Fraction(10, 7)
+        assert mean_parameter(leaf, 1) == 1
+        assert mean_parameter(leaf, 3) == Fraction(10, 7)
 
-    def test_errors(self, table_16):
+    def test_errors(self):
         leaf = toll_by_name("leaf")
         with pytest.raises(ValueError):
-            mean_parameter(leaf, 0, table_16)
-        with pytest.raises(IndexError):
-            mean_parameter(leaf, 17, table_16)
+            mean_parameter(leaf, 0)
 
-    def test_exactness(self, table_16):
+    def test_exactness(self):
         # means are exact rationals, never floats
-        m = mean_parameter(toll_by_name("size"), 7, table_16)
+        m = mean_parameter(toll_by_name("size"), 7)
         assert isinstance(m, Fraction)
         assert m.denominator > 1
+
+    def test_leaf_mean_tends_to_four_ninths_of_n(self):
+        n = 1000
+        gap = abs(mean_parameter(toll_by_name("leaf"), n) / n - Fraction(4, 9))
+        assert gap < LEAF_MEAN_GAP_TOL_AT_1000
+
+    def test_size_mean_excess_tends_to_sqrt_pi_over_3(self):
+        # (mean - n) / n^(3/2) -> sqrt(pi/3): offspring variance 3/2 at tau = 1/3
+        size = toll_by_name("size")
+        limit = math.sqrt(math.pi / 3)
+        gaps = {
+            n: abs(float(mean_parameter(size, n) - n) / n**1.5 - limit)
+            for n in (1000, 10000)
+        }
+        assert gaps[10000] < gaps[1000]
+        assert gaps[10000] < SIZE_MEAN_GAP_TOL_AT_10000

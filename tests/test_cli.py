@@ -3,7 +3,8 @@
 Covers: golden-file byte matches, every output format, seed handling
 (reproducibility, entropy fallback to stderr), the exit-code contract
 (0 success, 1 domain failure, 2 usage), the up-front oracle-limit and
-series-terms checks of ``verify``, the ``python -m deptrees`` entry,
+series-terms checks of ``verify``, ``param`` at large n with no table or
+series, the ``python -m deptrees`` entry,
 the BrokenPipe path of ``run()``, the console-script mapping in
 ``pyproject.toml``, and what a cold ``import deptrees.cli`` loads.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -20,7 +22,7 @@ import pytest
 
 import deptrees
 import deptrees.__main__
-from deptrees import cli, count_closed_form, verification
+from deptrees import PowerSeries, cli, count_closed_form, counting, series, verification
 
 GOLDEN = Path(__file__).parent / "golden"
 PYPROJECT = Path(__file__).parent.parent / "pyproject.toml"
@@ -256,6 +258,31 @@ class TestParam:
         # both size-2 trees have c = 2 + 1 = 3
         assert out == "n,total,mean_num,mean_den\n2,6,3,1\n"
         assert code == 0
+
+    @pytest.mark.parametrize("toll", ["unit", "leaf", "size"])
+    def test_large_n_builds_no_table_or_series(self, capsys, monkeypatch, toll):
+        def boom(*args, **kwargs):
+            raise AssertionError("param built a table or a series")
+
+        for module in (cli, counting):
+            monkeypatch.setattr(module, "build_count_table", boom)
+        for module in (cli, series):
+            monkeypatch.setattr(module, "solve_tree_gf", boom)
+        for method in ("__init__", "__mul__", "square", "quasi_inverse"):
+            monkeypatch.setattr(PowerSeries, method, boom)
+        n = 3000
+        total = {
+            "unit": lambda: math.comb(3 * n - 2, n - 1),
+            "leaf": lambda: math.comb(3 * n - 4, n - 1),
+            "size": lambda: sum(math.comb(2 * n - 2 + k, k) * 3 ** (n - 1 - k) for k in range(n)),
+        }[toll]()
+        g = math.gcd(total, count_closed_form(n))
+        code, out, _ = run_cli(capsys, "param", "--toll", toll, str(n))
+        assert code == 0
+        assert out == (
+            f"n,total,mean_num,mean_den\n{n},{total},{total // g},"
+            f"{count_closed_form(n) // g}\n"
+        )
 
     def test_usage_errors(self, capsys):
         assert run_cli(capsys, "param", "--toll", "depth", "3")[0] == 2

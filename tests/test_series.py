@@ -1,13 +1,15 @@
 """Power series tests.
 
-Covers: coefficient normalization and immutability, ring axioms (checked
-property-style), the quasi-inverse contract, derivatives, T(z) against
-the convolution recurrences, coefficientwise identity verification
-with deliberate corruption, and the numeric evaluation branch with its
-singular endpoint.
+Covers: coefficient normalization, immutability and pickling, ring
+axioms (checked property-style), the quasi-inverse contract, derivatives,
+T(z) against the convolution recurrences, coefficientwise identity
+verification with deliberate corruption, and the numeric evaluation
+branch with its singular endpoint.
 """
 from __future__ import annotations
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -54,6 +56,14 @@ class TestConstruction:
         ps = PowerSeries([1, 2])
         with pytest.raises(AttributeError):
             ps.coeffs = (0,)
+        with pytest.raises(AttributeError):
+            del ps.coeffs
+        assert ps.coeffs == (1, 2)
+
+    def test_pickle_and_copy_round_trip(self):
+        ps = PowerSeries([0, 1, Fraction(-2, 3), 7])
+        for clone in (pickle.loads(pickle.dumps(ps)), copy.deepcopy(ps), copy.copy(ps)):
+            assert clone == ps
 
     def test_constructors(self):
         assert PowerSeries.zero(3).coeffs == (0, 0, 0, 0)

@@ -2,7 +2,8 @@
 
 Covers: the suite passing on a healthy build, structured results, fault
 injection through a corrupted count table (both directly and through the
-CLI) and through a biased sampler, crash containment inside checks, and
+CLI), through a wrong closed-form additive total and through a biased
+sampler, crash containment inside checks, and
 parameter validation.
 """
 from __future__ import annotations
@@ -70,6 +71,21 @@ class TestFaultInjection:
         bad = corrupt(build_count_table(16), 3)
         results = run_verification(oracle_limit=4, series_terms=8, table=bad)
         assert not results[0].passed
+
+    def test_wrong_closed_form_total_detected(self, monkeypatch):
+        # a size total off by one at n = 5 only: the GF routes must catch it
+        real = verification.builtin_tolls()
+
+        def off_by_one(n, total=real[2].total):
+            return total(n) + (n == 5)
+
+        bad = real[:2] + [real[2]._replace(total=off_by_one)]
+        monkeypatch.setattr(verification, "builtin_tolls", lambda: bad)
+        results = run_verification(oracle_limit=3, series_terms=8)
+        by_name = {r.name: r for r in results}
+        assert not by_name["additive-agreement"].passed
+        assert "toll size, n=5" in by_name["additive-agreement"].detail
+        assert "closed form" in by_name["additive-agreement"].detail
 
     def test_crashing_check_is_contained(self, monkeypatch):
         # a sampler that raises must fail its check, not the suite
