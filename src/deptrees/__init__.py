@@ -19,10 +19,8 @@ from .additive import (
     mean_parameter,
     toll_by_name,
 )
+from . import counting
 from .counting import (
-    ASYMPTOTICS,
-    GROWTH_RATE,
-    SINGULARITY,
     AsymptoticConstants,
     CountTable,
     build_count_table,
@@ -58,6 +56,15 @@ from .trees import (
 from .verification import CheckResult, run_verification
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # GROWTH_RATE, SINGULARITY and ASYMPTOTICS are built on first access in
+    # counting, which keeps fractions off the import path
+    if name in counting._LAZY_CONSTANTS:
+        return getattr(counting, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ASYMPTOTICS",

@@ -24,7 +24,6 @@ against them and them against the oracle.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from math import comb
 
 from .counting import count_closed_form
@@ -131,12 +130,14 @@ def cumulative_by_enumeration(
     return sum(fold_cost(t, toll) for t in enumerate_trees(n, limit=limit))
 
 
-def mean_parameter(toll: TollSpec, n: int) -> Fraction:
-    """Mean of c(t) over the size-n trees, as an exact rational.
+def mean_parameter(toll: TollSpec, n: int):
+    """Mean of c(t) over the size-n trees, as an exact ``Fraction``.
 
     The total is ``toll.total(n)`` when the toll has one, else the oracle's
     fold (refused above its limit before any tree is built), over t_n.
     """
+    from fractions import Fraction
+
     if n < 1:
         raise ValueError(f"tree sizes start at 1, got {n}")
     total = cumulative_by_enumeration(toll, n) if toll.total is None else toll.total(n)

@@ -22,12 +22,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from fractions import Fraction
-
-#: t_{n+1}/t_n converges to 27/4; equivalently the generating function has
-#: its dominant singularity at z = 4/27.
-GROWTH_RATE = Fraction(27, 4)
-SINGULARITY = Fraction(4, 27)
 
 _AMPLITUDE_LOG = -0.5 * math.log(27.0 * math.pi)
 _LOG_GROWTH = math.log(6.75)
@@ -37,15 +31,34 @@ AsymptoticConstants = namedtuple(
     "AsymptoticConstants", "growth_rate singularity amplitude_log exponent"
 )
 
+#: The Fraction-valued constants, built on first access (PEP 562) so that
+#: a run that never reads them does not import fractions and the re it
+#: pulls in:
+#:
+#: * GROWTH_RATE = 27/4, the limit of t_{n+1}/t_n;
+#: * SINGULARITY = 4/27, the dominant singularity of the generating function;
+#: * ASYMPTOTICS, the constants of the leading-order approximation
+#:   t_n ~ (27/4)^n / (sqrt(27 pi) n^(3/2)).
+_LAZY_CONSTANTS = ("GROWTH_RATE", "SINGULARITY", "ASYMPTOTICS")
 
-#: Constants of the leading-order approximation
-#: t_n ~ (27/4)^n / (sqrt(27 pi) n^(3/2)).
-ASYMPTOTICS = AsymptoticConstants(
-    growth_rate=GROWTH_RATE,
-    singularity=SINGULARITY,
-    amplitude_log=_AMPLITUDE_LOG,
-    exponent=-1.5,
-)
+
+def __getattr__(name: str):
+    if name not in _LAZY_CONSTANTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from fractions import Fraction
+
+    growth, singularity = Fraction(27, 4), Fraction(4, 27)
+    globals().update(
+        GROWTH_RATE=growth,
+        SINGULARITY=singularity,
+        ASYMPTOTICS=AsymptoticConstants(
+            growth_rate=growth,
+            singularity=singularity,
+            amplitude_log=_AMPLITUDE_LOG,
+            exponent=-1.5,
+        ),
+    )
+    return globals()[name]
 
 
 class CountTable(namedtuple("CountTable", "t s")):
@@ -139,6 +152,8 @@ def relative_error(n: int) -> float:
     return math.expm1(stirling_log_approx(n) - exact_log)
 
 
-def growth_ratio(n: int, table: CountTable) -> Fraction:
-    """t_{n+1}/t_n as an exact rational (converges to 27/4)."""
+def growth_ratio(n: int, table: CountTable):
+    """t_{n+1}/t_n as an exact ``Fraction`` (converges to 27/4)."""
+    from fractions import Fraction
+
     return Fraction(table.tree_count(n + 1), table.tree_count(n))

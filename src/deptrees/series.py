@@ -3,7 +3,9 @@
 Coefficients are exact rationals: plain ``int`` where integral (the common,
 fast case) and :class:`fractions.Fraction` otherwise; constructors normalize
 denominator-1 fractions back to ``int``.  Every binary operation truncates
-to the smaller of the two orders.
+to the smaller of the two orders.  ``fractions`` is imported only on the
+non-``int`` branches, so integer-only work never loads it (or the ``re`` it
+imports).
 
 The generating function T(z) = sum t_n z^n of tree counts satisfies
 
@@ -18,12 +20,17 @@ with T(0) = 0 increasing to T(4/27) = 1/3).
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import mul
 
 from .counting import build_count_table
 
-_Scalar = (int, Fraction)
+
+def _is_scalar(x) -> bool:
+    if isinstance(x, int):
+        return True
+    from fractions import Fraction
+
+    return isinstance(x, Fraction)
 
 
 class PowerSeries:
@@ -34,11 +41,15 @@ class PowerSeries:
     def __init__(self, coeffs):
         norm = []
         for c in coeffs:
-            if isinstance(c, Fraction):
+            if not isinstance(c, int):
+                from fractions import Fraction
+
+                if not isinstance(c, Fraction):
+                    raise TypeError(
+                        f"coefficients must be int or Fraction, got {type(c).__name__}"
+                    )
                 if c.denominator == 1:
                     c = int(c)
-            elif not isinstance(c, int):
-                raise TypeError(f"coefficients must be int or Fraction, got {type(c).__name__}")
             norm.append(c)
         if not norm:
             raise ValueError("a series needs at least its constant term")
@@ -96,10 +107,10 @@ class PowerSeries:
     # ── ring operations (binary ops truncate to the smaller order) ──────
 
     def __add__(self, other):
-        if isinstance(other, _Scalar):
-            return PowerSeries((self.coeffs[0] + other,) + self.coeffs[1:])
         if not isinstance(other, PowerSeries):
-            return NotImplemented
+            if not _is_scalar(other):
+                return NotImplemented
+            return PowerSeries((self.coeffs[0] + other,) + self.coeffs[1:])
         n = min(self.order, other.order)
         return PowerSeries(
             tuple(a + b for a, b in zip(self.coeffs[: n + 1], other.coeffs[: n + 1]))
@@ -117,10 +128,10 @@ class PowerSeries:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, _Scalar):
-            return PowerSeries(tuple(c * other for c in self.coeffs))
         if not isinstance(other, PowerSeries):
-            return NotImplemented
+            if not _is_scalar(other):
+                return NotImplemented
+            return PowerSeries(tuple(c * other for c in self.coeffs))
         n = min(self.order, other.order)
         a = self.coeffs
         b = other.coeffs

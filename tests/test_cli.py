@@ -4,9 +4,11 @@ Covers: golden-file byte matches, every output format, seed handling
 (reproducibility, entropy fallback to stderr), the exit-code contract
 (0 success, 1 domain failure, 2 usage), the up-front oracle-limit and
 series-terms checks of ``verify``, ``param`` at large n with no table or
-series, the ``python -m deptrees`` entry,
-the BrokenPipe path of ``run()``, the console-script mapping in
-``pyproject.toml``, and what a cold ``import deptrees.cli`` loads.
+series, ``param`` computing each big number once, block writes of line
+output, the ``python -m deptrees`` entry, the BrokenPipe path of ``run()``,
+the console-script mapping in ``pyproject.toml``, and what a cold
+``import deptrees.cli`` and a cold request load.  The argv parser itself is
+tested against argparse in ``test_cli_args.py``.
 """
 from __future__ import annotations
 
@@ -22,7 +24,17 @@ import pytest
 
 import deptrees
 import deptrees.__main__
-from deptrees import PowerSeries, cli, count_closed_form, counting, series, verification
+from deptrees import (
+    PowerSeries,
+    additive,
+    cli,
+    count_closed_form,
+    counting,
+    mean_parameter,
+    series,
+    toll_by_name,
+    verification,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 PYPROJECT = Path(__file__).parent.parent / "pyproject.toml"
@@ -284,10 +296,76 @@ class TestParam:
             f"{count_closed_form(n) // g}\n"
         )
 
+    @pytest.mark.parametrize("toll,combs", [("unit", 2), ("leaf", 2), ("size", 1)])
+    def test_each_big_number_is_computed_once(self, capsys, monkeypatch, toll, combs):
+        # the total once, t_n once, and the mean reduced from those two by a
+        # gcd: the same line as the library's Fraction route
+        for n in (1, 2, 3, 40, 199):
+            mean = mean_parameter(toll_by_name(toll), n)
+            code, out, _ = run_cli(capsys, "param", "--toll", toll, str(n))
+            assert code == 0
+            assert out == (
+                f"n,total,mean_num,mean_den\n{n},{mean * count_closed_form(n)},"
+                f"{mean.numerator},{mean.denominator}\n"
+            )
+        calls = []
+        real_comb, real_count = math.comb, counting.count_closed_form
+
+        def comb(*args):
+            calls.append("comb")
+            return real_comb(*args)
+
+        def closed_form(n):
+            calls.append("t_n")
+            return real_count(n)
+
+        monkeypatch.setattr(math, "comb", comb)
+        monkeypatch.setattr(additive, "comb", comb)
+        for module in (cli, counting, additive):
+            monkeypatch.setattr(module, "count_closed_form", closed_form)
+        code, _, _ = run_cli(capsys, "param", "--toll", toll, "40")
+        assert code == 0
+        assert (calls.count("t_n"), calls.count("comb")) == (1, combs)
+
     def test_usage_errors(self, capsys):
         assert run_cli(capsys, "param", "--toll", "depth", "3")[0] == 2
         assert run_cli(capsys, "param", "3")[0] == 2
         assert run_cli(capsys, "param", "--toll", "leaf", "0")[0] == 2
+
+
+class TestOutput:
+    @pytest.mark.parametrize(
+        "argv,header",
+        [
+            (("enumerate", "3"), 0),
+            (("sample", "4", "--count", "7", "--seed", "5"), 0),
+            (("count", "--upto", "7"), 0),
+            (("count", "--upto", "7", "--format", "csv"), 1),
+            (("series", "--terms", "6"), 1),
+        ],
+    )
+    def test_lines_are_written_in_blocks(self, capsys, monkeypatch, argv, header):
+        # one write per line is one system call each when stdout is unbuffered
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        writes = []
+
+        class Recorder:
+            def write(self, text):
+                writes.append(text)
+                return len(text)
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(cli, "_BLOCK_LINES", 3)
+        monkeypatch.setattr(sys, "stdout", Recorder())
+        assert cli.main(list(argv)) == 0
+        lines = out.splitlines(keepends=True)[header:]
+        blocks = ["".join(lines[i : i + 3]) for i in range(0, len(lines), 3)]
+        assert "".join(writes) == out
+        assert writes[-len(blocks) :] == blocks
+        assert len(writes) <= len(blocks) + 2 * header  # print writes the header and its newline
 
 
 class TestDispatch:
@@ -336,16 +414,19 @@ class TestDispatch:
         assert "Traceback" not in stderr
 
 
+def layers() -> set[str]:
+    return {
+        f"deptrees.{path.stem}"
+        for path in Path(deptrees.__file__).parent.glob("*.py")
+        if path.stem not in ("__init__", "__main__")
+    }
+
+
 class TestStartup:
     def test_cold_import_loads_every_layer_and_no_heavy_stdlib(self):
         # Every request is a fresh interpreter, so the import graph is paid
         # per request.  All submodules stay eagerly imported: a wrapper put on
         # a module after the import (as a tracer does) then sees every layer.
-        layers = {
-            f"deptrees.{path.stem}"
-            for path in Path(deptrees.__file__).parent.glob("*.py")
-            if path.stem not in ("__init__", "__main__")
-        }
         code = "import deptrees.cli, sys; print(*sorted(sys.modules))"
         proc = subprocess.run(
             [sys.executable, "-S", "-c", code],
@@ -357,4 +438,32 @@ class TestStartup:
         assert proc.returncode == 0, proc.stderr
         loaded = set(proc.stdout.split())
         assert loaded.isdisjoint({"dataclasses", "typing", "inspect", "secrets", "json"})
-        assert layers and layers <= loaded
+        assert layers() and layers() <= loaded
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("sample", "300", "--seed", "1", "--count", "3"), ("param", "--toll", "unit", "50")],
+    )
+    def test_cold_request_loads_no_re_argparse_or_fractions(self, argv):
+        # re (with enum) was a third of a request's start-up: argparse and
+        # fractions each imported it, so neither may be on a request's path
+        code = (
+            "import atexit, sys\n"
+            "atexit.register(lambda: print(*sorted(sys.modules), file=sys.stderr))\n"
+            "from deptrees.cli import run\n"
+            "run()\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code, *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout
+        loaded = set(proc.stderr.split())
+        heavy = {"re", "enum", "argparse", "gettext", "locale", "shutil",
+                 "fractions", "decimal", "numbers"}
+        assert heavy.isdisjoint(loaded), heavy & loaded
+        assert layers() <= loaded

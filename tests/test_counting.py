@@ -120,6 +120,21 @@ class TestAsymptotics:
         with pytest.raises(AttributeError):
             ASYMPTOTICS.exponent = -1
 
+    def test_lazy_constants_are_one_set_of_objects(self):
+        # built on first access, once, and re-exported by the package
+        import deptrees
+        from deptrees import counting
+
+        for name in ("GROWTH_RATE", "SINGULARITY", "ASYMPTOTICS"):
+            assert name in deptrees.__all__
+            assert getattr(deptrees, name) is getattr(counting, name)
+        assert type(GROWTH_RATE) is Fraction and type(SINGULARITY) is Fraction
+        assert ASYMPTOTICS.growth_rate is GROWTH_RATE
+        assert ASYMPTOTICS.singularity is SINGULARITY
+        for module in (deptrees, counting):
+            with pytest.raises(AttributeError, match="no attribute 'GROWTH'"):
+                module.GROWTH
+
     def test_log_approx_at_one(self):
         # ln(4/(27 sqrt(3 pi))) by hand
         expected = math.log(27 / 4) - 0.5 * math.log(27 * math.pi)
