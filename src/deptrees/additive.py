@@ -27,7 +27,7 @@ from collections import namedtuple
 from math import comb
 
 from .counting import count_closed_form
-from .trees import DEFAULT_ORACLE_LIMIT, DepTree, enumerate_trees, size
+from .trees import DEFAULT_ORACLE_LIMIT, DepTree, enumerate_trees, iter_subtrees, size
 
 
 class TollSpec(
@@ -52,25 +52,13 @@ def _checked_toll_value(toll: TollSpec, t: DepTree) -> int:
 
 
 def fold_cost(t: DepTree, toll: TollSpec) -> int:
-    """c(t) = e(t) + sum of c(r) over root subtrees, evaluated iteratively.
+    """c(t) = e(t) + sum of c(r) over root subtrees.
 
-    Post-order over an explicit stack; chains make the natural recursion
-    as deep as the tree size.
+    Unrolled, the recursion is the toll summed over every subtree of t, one
+    per node; :func:`iter_subtrees` walks them on an explicit stack, so
+    chains as deep as the tree is large are safe.
     """
-    schedule = []
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        schedule.append(node)
-        stack.extend(node.left)
-        stack.extend(node.right)
-    cost: dict[int, int] = {}
-    for node in reversed(schedule):
-        c = _checked_toll_value(toll, node)
-        for child in node.left + node.right:
-            c += cost[id(child)]
-        cost[id(node)] = c
-    return cost[id(t)]
+    return sum(_checked_toll_value(toll, v) for v in iter_subtrees(t))
 
 
 def _unit_total(n: int) -> int:

@@ -81,9 +81,14 @@ def _cmd_count(n, upto, format) -> int:
         table = build_count_table(upto)
         rows = [(k, table.tree_count(k)) for k in range(1, upto + 1)]
     if format == "json":
-        import json
-
-        print(json.dumps([{"n": k, "value": str(t)} for k, t in rows], indent=2))
+        # json.dumps(..., indent=2) a row at a time: the values are digit strings
+        print("[")
+        last = rows[-1][0]
+        _write_lines(
+            f'  {{\n    "n": {k},\n    "value": "{t}"\n  }}{"," if k < last else ""}'
+            for k, t in rows
+        )
+        print("]")
     elif format == "csv":
         print("n,t_n")
         _write_lines(f"{k},{t}" for k, t in rows)

@@ -65,10 +65,6 @@ class PowerSeries:
         return PowerSeries, (self.coeffs,)
 
     @classmethod
-    def zero(cls, order: int) -> PowerSeries:
-        return cls((0,) * (order + 1))
-
-    @classmethod
     def monomial(cls, order: int, power: int = 1, coeff=1) -> PowerSeries:
         """coeff * z^power truncated to ``order``."""
         if not 0 <= power <= order:
@@ -85,11 +81,6 @@ class PowerSeries:
         if not 0 <= k <= self.order:
             raise IndexError(f"k={k} outside truncation order {self.order}")
         return self.coeffs[k]
-
-    def truncate(self, order: int) -> PowerSeries:
-        if order > self.order:
-            raise ValueError(f"cannot truncate order {self.order} up to {order}")
-        return PowerSeries(self.coeffs[: order + 1])
 
     def __eq__(self, other):
         if not isinstance(other, PowerSeries):
@@ -174,12 +165,6 @@ class PowerSeries:
         for m in range(1, self.order + 1):
             b.append(sum(map(mul, a[1 : m + 1], b[m - 1 :: -1])))
         return PowerSeries(b)
-
-    def derivative(self) -> PowerSeries:
-        """Termwise derivative, order N-1 (order 0 in, zero series out)."""
-        if self.order == 0:
-            return PowerSeries((0,))
-        return PowerSeries(tuple(k * c for k, c in enumerate(self.coeffs) if k > 0))
 
 
 def z_times_derivative(a: PowerSeries) -> PowerSeries:

@@ -9,7 +9,8 @@ each other:
   series-identity    T(1-T)^2 = z coefficientwise, and zT' = T(1-T)/(1-3T)
   additive-agreement the builtin tolls' closed-form totals vs both cumulative
                      GF forms, and the GF vs folds over enumeration
-  sampler-smoke      coverage and chi-square at n = 4 under a fixed seed
+  sampler-exact      the real sampler fed every star subset once: each tree
+                     of size n <= 6 hit exactly n times in n t_n draws
 
 The convolution recurrences of the class construction
 (:func:`convolution_table`) and both cumulative GF forms serve no
@@ -22,11 +23,12 @@ failure, not propagated: the suite must survive a corrupted table.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
+from itertools import combinations
 from operator import mul
 
 from . import counting
 from .additive import builtin_tolls, fold_cost
-from .sampler import SamplerState, sample_text
+from .sampler import sample_text
 from .series import (
     PowerSeries,
     _shift_up,
@@ -34,21 +36,16 @@ from .series import (
     verify_functional_identity,
     z_times_derivative,
 )
-from .trees import DEFAULT_ORACLE_LIMIT, enumerate_trees, oracle_texts, tree_texts
+from .trees import DEFAULT_ORACLE_LIMIT, enumerate_trees, oracle_texts
 
-#: Chi-square critical value at alpha = 0.001 for 29 degrees of freedom
-#: (the 30 tree shapes of size 4), frozen from a one-time quantile
-#: computation so the check needs no statistics dependency.
-CHI2_CRIT_29DOF_999 = 58.301173489794905
-
-#: largest ``series_terms`` a run accepts.  The count check convolves to that
-#: order in O(N^2) big-int products and the series checks multiply series
-#: of that order: about 2 s at 512 and 16 s at 1024 on a 2-vCPU VM.
+#: bounds of ``series_terms``.  The count check convolves to that order in
+#: O(N^2) big-int products and the series checks multiply series of that
+#: order: about 2 s at 512 and 16 s at 1024 on a 2-vCPU VM.
+MIN_SERIES_TERMS = 4
 MAX_SERIES_TERMS = 512
 
-_SMOKE_SEED = 7
-_SMOKE_SIZE = 4
-_SMOKE_SAMPLES = 30000
+#: largest size the sampler check replays, in n t_n draws (4368 at n = 6)
+SAMPLER_EXACT_LIMIT = 6
 
 
 CheckResult = namedtuple("CheckResult", "name passed detail")
@@ -203,27 +200,53 @@ def _check_additive(oracle_limit: int, series_terms: int) -> CheckResult:
     )
 
 
-def _check_sampler() -> CheckResult:
-    shapes = tree_texts(_SMOKE_SIZE)
-    state = SamplerState(_SMOKE_SEED)
-    observed = Counter(sample_text(_SMOKE_SIZE, state) for _ in range(_SMOKE_SAMPLES))
-    if set(observed) != set(shapes):
-        missing = len(set(shapes) ^ set(observed))
-        return CheckResult(
-            "sampler-smoke", False, f"{missing} shape(s) missing or foreign at n={_SMOKE_SIZE}"
-        )
-    expected = _SMOKE_SAMPLES / len(shapes)
-    chi2 = sum((observed[s] - expected) ** 2 / expected for s in shapes)
-    if chi2 >= CHI2_CRIT_29DOF_999:
-        return CheckResult(
-            "sampler-smoke",
-            False,
-            f"chi-square {chi2:.2f} >= {CHI2_CRIT_29DOF_999:.2f} (29 dof, alpha 0.001)",
-        )
+class _ShortStream(Exception):
+    """The sampler drew more subsets than the population has."""
+
+
+class _EverySubset:
+    """Stands in for a :class:`~deptrees.sampler.SamplerState`: its
+    ``rng.sample(population, k)`` returns each k-subset of the population
+    of its first call once, in turn, then raises :class:`_ShortStream`."""
+
+    subsets = None
+
+    @property
+    def rng(self):
+        return self
+
+    def sample(self, population, k):
+        self.subsets = self.subsets or combinations(population, k)
+        for subset in self.subsets:
+            return subset
+        raise _ShortStream
+
+
+def _check_sampler(max_size: int = SAMPLER_EXACT_LIMIT) -> CheckResult:
+    # every tree of size n has exactly n of the binom(3n-2, n-1) = n t_n
+    # star subsets as preimages (the cycle lemma), so replaying each subset
+    # once through the real sampler must hit each tree exactly n times
+    trees, _ = oracle_texts(max_size)
+    for n in range(1, max_size + 1):
+        draws = n * len(trees[n])
+        stream = _EverySubset()
+        try:
+            hits = Counter(sample_text(n, stream) for _ in range(draws))
+        except _ShortStream:
+            problem = f"the star subsets ran out before {draws} draws"
+        else:
+            off = sum(hits[s] != n for s in trees[n]) + len(set(hits).difference(trees[n]))
+            if stream.subsets is not None and next(stream.subsets, None) is not None:
+                problem = f"star subsets left over after {draws} draws"
+            elif off:
+                problem = f"{off} tree(s) not hit exactly {n} times"
+            else:
+                continue
+        return CheckResult("sampler-exact", False, f"n={n}: {problem}")
     return CheckResult(
-        "sampler-smoke",
+        "sampler-exact",
         True,
-        f"{_SMOKE_SAMPLES} draws, all {len(shapes)} shapes, chi-square {chi2:.2f}",
+        f"every star subset drawn once: each tree hit exactly n times for n<={max_size}",
     )
 
 
@@ -245,10 +268,10 @@ def run_verification(
             f"need 1 <= oracle_limit <= {DEFAULT_ORACLE_LIMIT} (the enumeration limit), "
             f"got {oracle_limit}"
         )
-    if not _SMOKE_SIZE <= series_terms <= MAX_SERIES_TERMS:
+    if not MIN_SERIES_TERMS <= series_terms <= MAX_SERIES_TERMS:
         raise ValueError(
-            f"need {_SMOKE_SIZE} <= series_terms <= {MAX_SERIES_TERMS} (the check-route bound), "
-            f"got {series_terms}"
+            f"need {MIN_SERIES_TERMS} <= series_terms <= {MAX_SERIES_TERMS} "
+            f"(the check-route bound), got {series_terms}"
         )
     if table is None:
         table = counting.build_count_table(max(series_terms, oracle_limit))
@@ -258,5 +281,5 @@ def run_verification(
         _guarded(
             "additive-agreement", lambda: _check_additive(oracle_limit, series_terms)
         ),
-        _guarded("sampler-smoke", _check_sampler),
+        _guarded("sampler-exact", _check_sampler),
     ]

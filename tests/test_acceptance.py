@@ -1,43 +1,29 @@
 """Acceptance gate: ten criteria, one test and one printed verdict each.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the verdict lines.
-Every tolerance below is frozen: the chi-square critical values come from
-a one-time quantile computation, and the asymptotic/ratio tolerances from
-a one-time exact evaluation recorded here (measured values in comments).
+Criteria 01-05 and 08 run the checks of ``deptrees.verification`` at the
+sizes stated here, so each check is written once.  The asymptotic and
+ratio tolerances are frozen from a one-time exact evaluation recorded here
+(measured values in comments).
 """
 from __future__ import annotations
 
 import time
-from collections import Counter
 from fractions import Fraction
-from itertools import combinations
 from pathlib import Path
-
-import pytest
 
 from deptrees import (
     GROWTH_RATE,
-    SamplerState,
     build_count_table,
-    cli,
-    count_closed_form,
-    cumulative_by_enumeration,
     builtin_tolls,
-    enumerate_forests,
-    enumerate_trees,
+    cli,
+    cumulative_by_enumeration,
     eval_T_numeric,
     growth_ratio,
-    lagrange_coefficient,
     relative_error,
-    sample_tree,
-    serialize,
-    solve_tree_gf,
-    verify_functional_identity,
-    z_times_derivative,
 )
-from deptrees.sampler import _tree_from_stars
 from deptrees.series import SINGULARITY_FLOAT
-from deptrees.verification import CHI2_CRIT_29DOF_999, _check_additive, convolution_table
+from deptrees.verification import _check_additive, _check_counts, _check_sampler, _check_series
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -56,45 +42,31 @@ def verdict(num: int, passed: bool, summary: str, started: float) -> None:
 class TestAcceptance:
     def test_criterion_01_three_way_counts(self):
         started = time.monotonic()
-        table = build_count_table(512)
-        conv = convolution_table(512)
-        ok = table.t == conv.t and table.s == conv.s
-        ok = ok and all(
-            table.tree_count(n) == count_closed_form(n) == lagrange_coefficient(n)
-            for n in range(1, 513)
-        )
+        result = _check_counts(build_count_table(512), 8)
         verdict(
             1,
-            ok,
+            result.passed,
             "ratio table matches the convolution (t and s) and the closed form "
-            "and Lagrange routes for n=1..512",
+            f"and Lagrange routes: {result.detail}",
             started,
         )
 
     def test_criterion_02_oracle_agreement(self):
         started = time.monotonic()
-        table = build_count_table(8)
-        ok = all(
-            len(enumerate_trees(n)) == table.tree_count(n) for n in range(1, 9)
-        ) and all(
-            len(enumerate_forests(m)) == table.forest_count(m) for m in range(0, 9)
-        )
-        ok = ok and len(enumerate_trees(3)) == 7
-        ok = ok and len(enumerate_trees(4)) == 30
-        ok = ok and len(enumerate_trees(5)) == 143
-        verdict(2, ok, "enumeration matches counts for trees n<=8, forests m<=8", started)
+        table = build_count_table(512)
+        result = _check_counts(table, 8)
+        ok = result.passed and table.t[3:6] == (7, 30, 143)
+        verdict(2, ok, f"oracle matches counts, t_3..t_5 = 7, 30, 143: {result.detail}", started)
 
     def test_criterion_03_series_identity(self):
         started = time.monotonic()
-        ok = verify_functional_identity(solve_tree_gf(256)) == 256
-        verdict(3, ok, "T(1-T)^2 = z holds exactly to order 256", started)
+        result = _check_series(256)
+        verdict(3, result.passed, f"T(1-T)^2 = z exactly: {result.detail}", started)
 
     def test_criterion_04_derivative_identity(self):
         started = time.monotonic()
-        T = solve_tree_gf(256)
-        lhs = z_times_derivative(T)
-        rhs = T * (1 - T) * (3 * T).quasi_inverse()
-        verdict(4, lhs == rhs, "zT' = T(1-T)/(1-3T) exactly to order 256", started)
+        result = _check_series(256)
+        verdict(4, result.passed, f"zT' = T(1-T)/(1-3T) exactly: {result.detail}", started)
 
     def test_criterion_05_cumulative_relation(self):
         started = time.monotonic()
@@ -137,28 +109,8 @@ class TestAcceptance:
 
     def test_criterion_08_sampler_uniformity(self):
         started = time.monotonic()
-        shapes = [serialize(t) for t in enumerate_trees(4)]
-        state = SamplerState(7)
-        observed = Counter(serialize(sample_tree(4, state)) for _ in range(30000))
-        expected = 30000 / 30
-        coverage = set(observed) == set(shapes)
-        chi2 = sum((observed[s] - expected) ** 2 / expected for s in shapes)
-        exact = True
-        for n in range(1, 8):
-            hits = Counter(
-                _tree_from_stars(n, stars)
-                for stars in combinations(range(3 * n - 2), n - 1)
-            )
-            exact = exact and set(hits) == {serialize(t) for t in enumerate_trees(n)}
-            exact = exact and set(hits.values()) == {n}
-        ok = coverage and chi2 < CHI2_CRIT_29DOF_999 and exact
-        verdict(
-            8,
-            ok,
-            f"30 shapes covered, chi2={chi2:.2f} < {CHI2_CRIT_29DOF_999:.2f}; "
-            f"every star subset tried: each tree hit exactly n times for n<=7",
-            started,
-        )
+        result = _check_sampler(7)
+        verdict(8, result.passed, f"exact uniformity, no statistics: {result.detail}", started)
 
     def test_criterion_09_numeric_branch(self):
         started = time.monotonic()

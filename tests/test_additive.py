@@ -69,10 +69,12 @@ class TestFoldCost:
 
     @given(small_trees)
     def test_equals_sum_over_subtrees(self, t):
-        # c(t) unrolls to the sum of e over all rooted subtrees
+        # fold_cost sums e over the subtrees; c(t) is defined by the recursion
+        def c(t, toll):
+            return toll.evaluate(t) + sum(c(r, toll) for r in t.left + t.right)
+
         for toll in builtin_tolls():
-            expected = sum(toll.evaluate(v) for v in iter_subtrees(t))
-            assert fold_cost(t, toll) == expected
+            assert fold_cost(t, toll) == c(t, toll)
 
     def test_deep_chain(self):
         t = LEAF
@@ -161,7 +163,7 @@ class TestCumulativeGF:
 
     def test_zero_toll(self):
         T = solve_tree_gf(8)
-        assert cumulative_gf(PowerSeries.zero(8), T) == PowerSeries.zero(8)
+        assert cumulative_gf(PowerSeries((0,) * 9), T) == PowerSeries((0,) * 9)
 
     def test_linearity(self):
         T = solve_tree_gf(16)

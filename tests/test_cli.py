@@ -125,6 +125,18 @@ class TestCount:
         ]
         assert all(isinstance(r["value"], str) for r in rows)
 
+    @pytest.mark.parametrize(
+        "argv", [("7",), ("--upto", "1"), ("--upto", "2"), ("--upto", "5"), ("--upto", "300")]
+    )
+    def test_json_is_streamed_in_the_json_module_layout(self, capsys, argv):
+        # written row by row, byte for byte what json.dumps(indent=2) gives
+        code, out, _ = run_cli(capsys, "count", *argv, "--format", "json")
+        n = int(argv[-1])
+        sizes = range(1, n + 1) if argv[0] == "--upto" else (n,)
+        rows = [{"n": k, "value": str(count_closed_form(k))} for k in sizes]
+        assert code == 0
+        assert out == json.dumps(rows, indent=2) + "\n"
+
     def test_big_value_is_exact(self, capsys):
         code, out, _ = run_cli(capsys, "count", "100")
         assert code == 0
@@ -192,7 +204,7 @@ class TestVerify:
         def refuse(*args, **kwargs):
             raise RuntimeError("enumeration started")
 
-        for name in ("enumerate_trees", "tree_texts", "oracle_texts"):
+        for name in ("enumerate_trees", "oracle_texts"):
             monkeypatch.setattr(verification, name, refuse)
         code, out, err = run_cli(capsys, "verify", "--oracle-limit", "11")
         assert code == 1
@@ -205,7 +217,7 @@ class TestVerify:
         def refuse(*args, **kwargs):
             raise RuntimeError("check started")
 
-        for name in ("_check_counts", "_check_series", "_check_additive"):
+        for name in ("_check_counts", "_check_series", "_check_additive", "_check_sampler"):
             monkeypatch.setattr(verification, name, refuse)
         monkeypatch.setattr(verification.counting, "build_count_table", refuse)
         code, out, err = run_cli(capsys, "verify", "--series-terms", "513")

@@ -66,7 +66,6 @@ class TestConstruction:
             assert clone == ps
 
     def test_constructors(self):
-        assert PowerSeries.zero(3).coeffs == (0, 0, 0, 0)
         assert PowerSeries.monomial(3, 1).coeffs == (0, 1, 0, 0)
         assert PowerSeries.monomial(2, 0, coeff=5).coeffs == (5, 0, 0)
         with pytest.raises(ValueError):
@@ -79,13 +78,6 @@ class TestConstruction:
         for bad in (-1, 3):
             with pytest.raises(IndexError):
                 ps.coefficient(bad)
-
-    def test_truncate(self):
-        ps = PowerSeries([1, 2, 3])
-        assert ps.truncate(1).coeffs == (1, 2)
-        assert ps.truncate(2) == ps
-        with pytest.raises(ValueError):
-            ps.truncate(3)
 
 
 class TestRingAxioms:
@@ -114,7 +106,7 @@ class TestRingAxioms:
     @given(series)
     def test_identities(self, a):
         assert a + 0 == a
-        assert a + (-a) == PowerSeries.zero(a.order)
+        assert a + (-a) == PowerSeries((0,) * (a.order + 1))
         assert a * 1 == a
         one = PowerSeries.monomial(a.order, 0)
         assert one * a == a
@@ -123,7 +115,7 @@ class TestRingAxioms:
         one_plus_z = PowerSeries([1, 1])
         assert one_plus_z + 0 == one_plus_z
         T = solve_tree_gf(6)
-        assert T + (-T) == PowerSeries.zero(6)
+        assert T + (-T) == PowerSeries((0,) * 7)
 
     @given(series)
     def test_scalar_arithmetic(self, a):
@@ -167,13 +159,6 @@ class TestQuasiInverse:
 
 
 class TestDerivative:
-    def test_basic(self):
-        ps = PowerSeries([7, 1, 3, 5])
-        assert ps.derivative().coeffs == (1, 6, 15)
-
-    def test_order_zero(self):
-        assert PowerSeries([7]).derivative().coeffs == (0,)
-
     @given(series)
     def test_z_times_derivative_scales_indices(self, a):
         zd = z_times_derivative(a)
@@ -183,10 +168,9 @@ class TestDerivative:
     @given(series, series)
     @settings(deadline=None)
     def test_leibniz_rule(self, a, b):
-        n = min(a.order, b.order)
-        lhs = (a * b).derivative()
-        rhs = a.derivative() * b.truncate(n) + a.truncate(n) * b.derivative()
-        assert lhs == rhs.truncate(n - 1) if n >= 1 else True
+        # z d/dz is a derivation, exactly at the product's order
+        lhs = z_times_derivative(a * b)
+        assert lhs == z_times_derivative(a) * b + a * z_times_derivative(b)
 
 
 class TestHelpers:
@@ -219,7 +203,7 @@ class TestTreeGF:
             assert verify_functional_identity(PowerSeries(coeffs)) == k - 1
 
     def test_identity_fails_at_zero_for_wrong_start(self):
-        assert verify_functional_identity(PowerSeries.zero(5)) == 0
+        assert verify_functional_identity(PowerSeries((0,) * 6)) == 0
         assert verify_functional_identity(PowerSeries([1, 1, 1])) == 0
 
     def test_derivative_identity(self):

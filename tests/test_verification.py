@@ -2,9 +2,9 @@
 
 Covers: the suite passing on a healthy build, structured results, fault
 injection through a corrupted count table (both directly and through the
-CLI), through a wrong closed-form additive total and through a biased
-sampler, crash containment inside checks, and
-parameter validation.
+CLI), through a wrong closed-form additive total and through samplers that
+are biased, draw from the wrong slot range or skip draws, crash
+containment inside checks, and parameter validation.
 """
 from __future__ import annotations
 
@@ -12,12 +12,18 @@ import pytest
 
 from deptrees import CheckResult, CountTable, build_count_table, run_verification
 from deptrees import cli, verification
+from deptrees.sampler import _tree_from_stars
 
 
 def corrupt(table: CountTable, n: int, delta: int = 1) -> CountTable:
     t = list(table.t)
     t[n] += delta
     return CountTable(tuple(t), table.s)
+
+
+def sampler_result(results):
+    (result,) = [r for r in results if r.name == "sampler-exact"]
+    return result
 
 
 class TestHealthyRun:
@@ -27,7 +33,7 @@ class TestHealthyRun:
             "count-agreement",
             "series-identity",
             "additive-agreement",
-            "sampler-smoke",
+            "sampler-exact",
         ]
         assert all(r.passed for r in results)
         assert all(isinstance(r, CheckResult) and r.detail for r in results)
@@ -95,15 +101,15 @@ class TestFaultInjection:
         monkeypatch.setattr(verification, "sample_text", broken)
         results = run_verification(oracle_limit=2, series_terms=8)
         by_name = {r.name: r for r in results}
-        assert not by_name["sampler-smoke"].passed
-        assert "RuntimeError" in by_name["sampler-smoke"].detail
+        assert not by_name["sampler-exact"].passed
+        assert "RuntimeError" in by_name["sampler-exact"].detail
         assert by_name["series-identity"].passed
 
     def test_sampler_bias_detected(self, monkeypatch):
         # redrawing once whenever the root has right children (the text
-        # does not end in "|]") skews the n=4 shapes toward left-heavy
-        # roots: the chi-square test must catch it even though every shape
-        # still appears
+        # does not end in "|]") skews the shapes toward left-heavy roots;
+        # every shape still appears, but the redraws use up the subsets
+        # before n t_n draws at n = 2
         real = verification.sample_text
 
         def biased(n, state):
@@ -111,10 +117,39 @@ class TestFaultInjection:
             return text if text.endswith("|]") else real(n, state)
 
         monkeypatch.setattr(verification, "sample_text", biased)
-        results = run_verification(oracle_limit=4, series_terms=8)
-        by_name = {r.name: r for r in results}
-        assert not by_name["sampler-smoke"].passed
-        assert "chi-square" in by_name["sampler-smoke"].detail
+        result = sampler_result(run_verification(oracle_limit=4, series_terms=8))
+        assert not result.passed
+        assert result.detail.startswith("n=2: the star subsets ran out")
+
+    def test_short_slot_range_detected(self, monkeypatch):
+        # n-1 stars among 3n-3 slots: one slot short, so only
+        # binom(3n-3, n-1) < n t_n subsets exist; a failed check naming n,
+        # not a crash
+        def narrow(n, state):
+            return _tree_from_stars(n, sorted(state.rng.sample(range(3 * n - 3), n - 1)))
+
+        monkeypatch.setattr(verification, "sample_text", narrow)
+        result = sampler_result(run_verification(oracle_limit=2, series_terms=8))
+        assert not result.passed
+        assert "n=2" in result.detail
+        assert "raised" not in result.detail
+
+    def test_skipped_draws_detected(self, monkeypatch):
+        # a sampler that repeats its last tree instead of drawing every
+        # other call leaves half the subsets unused
+        real = verification.sample_text
+        last = {}
+
+        def lazy(n, state):
+            if n in last:
+                return last.pop(n)
+            last[n] = real(n, state)
+            return last[n]
+
+        monkeypatch.setattr(verification, "sample_text", lazy)
+        result = sampler_result(run_verification(oracle_limit=2, series_terms=8))
+        assert not result.passed
+        assert result.detail == "n=2: star subsets left over after 4 draws"
 
 
 class TestValidation:
