@@ -39,7 +39,7 @@ from .additive import toll_by_name
 from .counting import (
     build_count_table,
     count_closed_form,
-    relative_error,
+    relative_error_of,
     stirling_log_approx,
 )
 from .sampler import SamplerState, sample_text
@@ -103,8 +103,9 @@ def _cmd_approx(n, compare) -> int:
     print(f"ln_approx {ln_approx!r}")
     print(f"approx {_decimal_form(ln_approx)}")
     if compare:
-        print(f"exact {count_closed_form(n)}")
-        print(f"rel_error {relative_error(n)!r}")
+        t = count_closed_form(n)
+        print(f"exact {t}")
+        print(f"rel_error {relative_error_of(ln_approx, t)!r}")
     return 0
 
 

@@ -148,8 +148,16 @@ def stirling_log_approx(n: int) -> float:
 
 def relative_error(n: int) -> float:
     """approx(n)/t_n - 1, with ln t_n taken exactly from the closed form."""
-    exact_log = math.log(count_closed_form(n))
-    return math.expm1(stirling_log_approx(n) - exact_log)
+    return relative_error_of(stirling_log_approx(n), count_closed_form(n))
+
+
+def relative_error_of(ln_approx: float, exact: int) -> float:
+    """exp(ln_approx)/exact - 1, for a caller that already holds t_n.
+
+    Stays in log space: ``math.log`` takes the int whole, so neither
+    approx(n) nor t_n is formed as a float (both overflow near n = 360).
+    """
+    return math.expm1(ln_approx - math.log(exact))
 
 
 def growth_ratio(n: int, table: CountTable):

@@ -8,7 +8,7 @@ each other:
                      and both vs exhaustive enumeration
   series-identity    T(1-T)^2 = z coefficientwise, and zT' = T(1-T)/(1-3T)
   additive-agreement the builtin tolls' closed-form totals vs both cumulative
-                     GF forms, and the GF vs folds over enumeration
+                     GF forms, and the GF vs string folds over the oracle
   sampler-exact      the real sampler fed every star subset once: each tree
                      of size n <= 6 hit exactly n times in n t_n draws
 
@@ -27,7 +27,7 @@ from itertools import combinations
 from operator import mul
 
 from . import counting
-from .additive import builtin_tolls, fold_cost
+from .additive import builtin_tolls
 from .sampler import sample_text
 from .series import (
     PowerSeries,
@@ -36,7 +36,7 @@ from .series import (
     verify_functional_identity,
     z_times_derivative,
 )
-from .trees import DEFAULT_ORACLE_LIMIT, enumerate_trees, oracle_texts
+from .trees import DEFAULT_ORACLE_LIMIT, oracle_texts, tree_texts
 
 #: bounds of ``series_terms``.  The count check convolves to that order in
 #: O(N^2) big-int products and the series checks multiply series of that
@@ -82,6 +82,28 @@ _TOLL_GFS = {
     "unit": lambda T: T,
     "leaf": lambda T: PowerSeries.monomial(T.order, 1),
     "size": z_times_derivative,
+}
+
+
+def _size_fold(text: str) -> int:
+    # c(t) for e = |t| is the sum of the depths of the nodes, counting the
+    # root as 1: the nesting depth just after each node's "["
+    total = depth = 0
+    for ch in text:
+        if ch == "[":
+            depth += 1
+            total += depth
+        elif ch == "]":
+            depth -= 1
+    return total
+
+
+#: builtin toll name -> c(t) read off the canonical string of t, with no
+#: tree object: a route shared with neither the GF nor the closed forms
+_TOLL_FOLDS = {
+    "unit": lambda text: text.count("["),
+    "leaf": lambda text: text.count("[|]"),
+    "size": _size_fold,
 }
 
 
@@ -179,19 +201,19 @@ def _check_additive(oracle_limit: int, series_terms: int) -> CheckResult:
                 )
         gfs.append((toll, C))
     # each size is enumerated once and folded under every toll.  Rebuilding
-    # the smaller sizes per call cost 4% of the enumeration at n = 9, a sliver
-    # of the folds; the previous size is dropped first, so the peak is one pass.
+    # the smaller sizes per call costs about 0.1 s of 2.7 s at n = 10; the
+    # previous size is dropped first, so the peak is one pass.
     for n in range(1, oracle_limit + 1):
-        trees = enumerate_trees(n)
+        texts = tree_texts(n)
         for toll, C in gfs:
-            direct = sum(fold_cost(t, toll) for t in trees)
+            direct = sum(map(_TOLL_FOLDS[toll.name], texts))
             if C.coefficient(n) != direct:
                 return CheckResult(
                     "additive-agreement",
                     False,
                     f"toll {toll.name}, n={n}: GF {C.coefficient(n)} vs oracle {direct}",
                 )
-        del trees
+        del texts
     return CheckResult(
         "additive-agreement",
         True,

@@ -2,7 +2,8 @@
 
 Covers: fold_cost against its defining recursion and against the
 sum-over-subtrees identity, the builtin tolls' closed-form totals against
-the cumulative GF, the verification map of builtin toll GFs, agreement of
+the cumulative GF, the verification maps of builtin toll GFs and of
+builtin toll folds over canonical strings (against fold_cost), agreement of
 the two cumulative GF forms, GF totals against exhaustive enumeration,
 linearity, the unit-toll derivative identity, exact means and their
 asymptotics, enumeration-backed custom tolls, and toll validation.
@@ -25,13 +26,19 @@ from deptrees import (
     fold_cost,
     mean_parameter,
     parse,
+    serialize,
     solve_tree_gf,
     toll_by_name,
     trees,
     z_times_derivative,
 )
 from deptrees.trees import OracleLimitError, iter_subtrees
-from deptrees.verification import _TOLL_GFS, cumulative_gf, cumulative_gf_via_sequences
+from deptrees.verification import (
+    _TOLL_FOLDS,
+    _TOLL_GFS,
+    cumulative_gf,
+    cumulative_gf_via_sequences,
+)
 
 LEAF = DepTree()
 
@@ -135,6 +142,17 @@ class TestBuiltinTolls:
                 sum(toll.evaluate(t) for t in enumerate_trees(n)) for n in range(1, 7)
             ]
             assert toll_gf(toll.name, 6).coeffs == tuple(direct), toll.name
+
+    def test_string_folds_match_fold_cost(self):
+        # verify folds the builtins over canonical strings; the object fold
+        # is the reference, tree by tree, so the totals agree for n <= 8
+        assert set(_TOLL_FOLDS) == {toll.name for toll in builtin_tolls()}
+        for n in range(1, 9):
+            trees_n = enumerate_trees(n)
+            texts = [serialize(t) for t in trees_n]
+            for toll in builtin_tolls():
+                folds = list(map(_TOLL_FOLDS[toll.name], texts))
+                assert folds == [fold_cost(t, toll) for t in trees_n], (toll.name, n)
 
     def test_totals_match_the_cumulative_gf(self):
         T = solve_tree_gf(200)

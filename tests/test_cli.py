@@ -4,11 +4,12 @@ Covers: golden-file byte matches, every output format, seed handling
 (reproducibility, entropy fallback to stderr), the exit-code contract
 (0 success, 1 domain failure, 2 usage), the up-front oracle-limit and
 series-terms checks of ``verify``, ``param`` at large n with no table or
-series, ``param`` computing each big number once, block writes of line
-output, the ``python -m deptrees`` entry, the BrokenPipe path of ``run()``,
-the console-script mapping in ``pyproject.toml``, and what a cold
-``import deptrees.cli`` and a cold request load.  The argv parser itself is
-tested against argparse in ``test_cli_args.py``.
+series, ``param`` and ``approx --compare`` computing each big number once,
+block writes of line output, the ``python -m deptrees`` entry, the
+BrokenPipe path of ``run()``, the console-script mapping in
+``pyproject.toml``, and what a cold ``import deptrees.cli`` and a cold
+request load.  The argv parser itself is tested against argparse in
+``test_cli_args.py``.
 """
 from __future__ import annotations
 
@@ -31,6 +32,7 @@ from deptrees import (
     count_closed_form,
     counting,
     mean_parameter,
+    relative_error,
     series,
     toll_by_name,
     verification,
@@ -174,6 +176,25 @@ class TestApprox:
         assert lines["exact"] == "9271463686195239118803530716446835184571830559071680509839539927100905971736920"
         assert float(lines["rel_error"]) == pytest.approx(-0.0023638836814076605)
 
+    def test_exact_is_computed_once(self, capsys, monkeypatch):
+        # t_n once, printed and fed to the relative error: the same lines
+        # as the library's relative_error(n)
+        n = 300
+        expected = f"exact {count_closed_form(n)}\nrel_error {relative_error(n)!r}\n"
+        calls = []
+        real = counting.count_closed_form
+
+        def closed_form(n):
+            calls.append(n)
+            return real(n)
+
+        for module in (cli, counting):
+            monkeypatch.setattr(module, "count_closed_form", closed_form)
+        code, out, _ = run_cli(capsys, "approx", str(n), "--compare")
+        assert code == 0
+        assert out.endswith(expected)
+        assert calls == [n]
+
     def test_huge_n_does_not_overflow(self, capsys):
         code, out, _ = run_cli(capsys, "approx", "5000")
         assert code == 0
@@ -204,7 +225,7 @@ class TestVerify:
         def refuse(*args, **kwargs):
             raise RuntimeError("enumeration started")
 
-        for name in ("enumerate_trees", "oracle_texts"):
+        for name in ("tree_texts", "oracle_texts"):
             monkeypatch.setattr(verification, name, refuse)
         code, out, err = run_cli(capsys, "verify", "--oracle-limit", "11")
         assert code == 1

@@ -2,7 +2,8 @@
 
 Covers: the suite passing on a healthy build, structured results, fault
 injection through a corrupted count table (both directly and through the
-CLI), through a wrong closed-form additive total and through samplers that
+CLI), through a wrong closed-form additive total, an oracle missing a tree
+and a wrong string fold under the additive check, and through samplers that
 are biased, draw from the wrong slot range or skip draws, crash
 containment inside checks, and parameter validation.
 """
@@ -92,6 +93,31 @@ class TestFaultInjection:
         assert not by_name["additive-agreement"].passed
         assert "toll size, n=5" in by_name["additive-agreement"].detail
         assert "closed form" in by_name["additive-agreement"].detail
+
+    def test_missing_oracle_tree_detected(self, monkeypatch):
+        # the additive check's oracle loses one size-5 tree: every toll's
+        # total at n = 5 falls short of the GF
+        real = verification.tree_texts
+
+        def short(n):
+            texts = real(n)
+            return texts[1:] if n == 5 else texts
+
+        monkeypatch.setattr(verification, "tree_texts", short)
+        results = run_verification(oracle_limit=6, series_terms=8)
+        by_name = {r.name: r for r in results}
+        assert not by_name["additive-agreement"].passed
+        assert "n=5" in by_name["additive-agreement"].detail
+        assert "vs oracle" in by_name["additive-agreement"].detail
+        assert by_name["count-agreement"].passed
+
+    def test_wrong_string_fold_detected(self, monkeypatch):
+        real = verification._TOLL_FOLDS["size"]
+        monkeypatch.setitem(verification._TOLL_FOLDS, "size", lambda text: real(text) + 1)
+        results = run_verification(oracle_limit=3, series_terms=8)
+        by_name = {r.name: r for r in results}
+        assert not by_name["additive-agreement"].passed
+        assert by_name["additive-agreement"].detail == "toll size, n=1: GF 1 vs oracle 2"
 
     def test_crashing_check_is_contained(self, monkeypatch):
         # a sampler that raises must fail its check, not the suite
