@@ -7,7 +7,7 @@ itself a dependency tree.  The counting sequence by node count starts
 satisfies T(1-T)^2 = z.
 
 The package provides exhaustive enumeration (the oracle), big-integer
-counting by three closed-form routes, exact power-series machinery for
+counting by two closed-form routes, exact power-series machinery for
 the generating-function identities, asymptotics, exactly uniform random
 sampling, additive-parameter statistics, and a cross-validation suite.
 """
@@ -19,14 +19,10 @@ from .additive import (
     mean_parameter,
     toll_by_name,
 )
-from . import counting
 from .counting import (
-    AsymptoticConstants,
     CountTable,
     build_count_table,
     count_closed_form,
-    growth_ratio,
-    lagrange_coefficient,
     relative_error,
     stirling_log_approx,
 )
@@ -51,34 +47,20 @@ from .trees import (
     serialize,
     serialize_forest,
     size,
-    total_size,
 )
 from .verification import CheckResult, run_verification
 
 __version__ = "0.1.0"
 
-
-def __getattr__(name: str):
-    # GROWTH_RATE, SINGULARITY and ASYMPTOTICS are built on first access in
-    # counting, which keeps fractions off the import path
-    if name in counting._LAZY_CONSTANTS:
-        return getattr(counting, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
-    "ASYMPTOTICS",
-    "AsymptoticConstants",
     "CheckResult",
     "CountTable",
     "DEFAULT_ORACLE_LIMIT",
     "DepTree",
     "Forest",
-    "GROWTH_RATE",
     "OracleLimitError",
     "ParseError",
     "PowerSeries",
-    "SINGULARITY",
     "SamplerState",
     "TollSpec",
     "build_count_table",
@@ -89,8 +71,6 @@ __all__ = [
     "enumerate_trees",
     "eval_T_numeric",
     "fold_cost",
-    "growth_ratio",
-    "lagrange_coefficient",
     "mean_parameter",
     "parse",
     "parse_forest",
@@ -104,7 +84,6 @@ __all__ = [
     "solve_tree_gf",
     "stirling_log_approx",
     "toll_by_name",
-    "total_size",
     "verify_functional_identity",
     "z_times_derivative",
     "__version__",

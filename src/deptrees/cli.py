@@ -282,7 +282,8 @@ def _option(command: str | None, word: str, names):
     """How argparse reads ``word`` against the long options ``names``.
 
     None for a positional (a word not starting with ``-``, ``-`` and
-    ``--`` themselves, a negative number, or a word with a space); otherwise (name, explicit value or None), with name None for an
+    ``--`` themselves, a negative number, or a word with a space);
+    otherwise (name, explicit value or None), with name None for an
     unrecognized option.  A long option may be shortened to any unique
     prefix; an ambiguous one is a usage error.
     """

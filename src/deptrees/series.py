@@ -1,11 +1,10 @@
 """Truncated power series with exact coefficients, and the tree generating function.
 
-Coefficients are exact rationals: plain ``int`` where integral (the common,
-fast case) and :class:`fractions.Fraction` otherwise; constructors normalize
-denominator-1 fractions back to ``int``.  Every binary operation truncates
-to the smaller of the two orders.  ``fractions`` is imported only on the
-non-``int`` branches, so integer-only work never loads it (or the ``re`` it
-imports).
+Coefficients are exact integers: every series the package builds (T, and
+the toll and cumulative GFs of the builtin tolls) is integral, so a
+non-``int`` coefficient raises ``TypeError`` and a non-``int`` scalar
+operand is refused.  Every binary operation truncates to the smaller of
+the two orders.
 
 The generating function T(z) = sum t_n z^n of tree counts satisfies
 
@@ -25,35 +24,19 @@ from operator import mul
 from .counting import build_count_table
 
 
-def _is_scalar(x) -> bool:
-    if isinstance(x, int):
-        return True
-    from fractions import Fraction
-
-    return isinstance(x, Fraction)
-
-
 class PowerSeries:
     """Immutable truncated series; index k of ``coeffs`` holds [z^k]."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        norm = []
+        coeffs = tuple(coeffs)
         for c in coeffs:
             if not isinstance(c, int):
-                from fractions import Fraction
-
-                if not isinstance(c, Fraction):
-                    raise TypeError(
-                        f"coefficients must be int or Fraction, got {type(c).__name__}"
-                    )
-                if c.denominator == 1:
-                    c = int(c)
-            norm.append(c)
-        if not norm:
+                raise TypeError(f"coefficients must be int, got {type(c).__name__}")
+        if not coeffs:
             raise ValueError("a series needs at least its constant term")
-        object.__setattr__(self, "coeffs", tuple(norm))
+        object.__setattr__(self, "coeffs", coeffs)
 
     def __setattr__(self, name, value):
         raise AttributeError("PowerSeries is immutable")
@@ -99,7 +82,7 @@ class PowerSeries:
 
     def __add__(self, other):
         if not isinstance(other, PowerSeries):
-            if not _is_scalar(other):
+            if not isinstance(other, int):
                 return NotImplemented
             return PowerSeries((self.coeffs[0] + other,) + self.coeffs[1:])
         n = min(self.order, other.order)
@@ -120,7 +103,7 @@ class PowerSeries:
 
     def __mul__(self, other):
         if not isinstance(other, PowerSeries):
-            if not _is_scalar(other):
+            if not isinstance(other, int):
                 return NotImplemented
             return PowerSeries(tuple(c * other for c in self.coeffs))
         n = min(self.order, other.order)

@@ -95,23 +95,6 @@ class DepTree:
 Forest = tuple[DepTree, ...]
 
 
-def size(t: DepTree) -> int:
-    """Number of nodes in ``t`` (always at least 1)."""
-    total = 0
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        total += 1
-        stack.extend(node.left)
-        stack.extend(node.right)
-    return total
-
-
-def total_size(forest: Forest) -> int:
-    """Sum of the sizes of the trees in ``forest`` (0 for the empty forest)."""
-    return sum(size(t) for t in forest)
-
-
 def iter_subtrees(t: DepTree):
     """Yield every subtree of ``t`` (including ``t`` itself), one per node."""
     stack = [t]
@@ -120,6 +103,11 @@ def iter_subtrees(t: DepTree):
         yield node
         stack.extend(node.left)
         stack.extend(node.right)
+
+
+def size(t: DepTree) -> int:
+    """Number of nodes in ``t`` (always at least 1)."""
+    return sum(1 for _ in iter_subtrees(t))
 
 
 def serialize(t: DepTree) -> str:

@@ -13,7 +13,8 @@ each other:
                      of size n <= 6 hit exactly n times in n t_n draws
 
 The convolution recurrences of the class construction
-(:func:`convolution_table`) and both cumulative GF forms serve no
+(:func:`convolution_table`), the Lagrange extraction of t_n
+(:func:`lagrange_coefficient`) and both cumulative GF forms serve no
 production path; they exist here only as check routes.
 
 Used by the CLI verify subcommand; returns structured results so callers
@@ -77,6 +78,24 @@ def convolution_table(n_max: int) -> counting.CountTable:
     return counting.CountTable(tuple(t), tuple(s))
 
 
+def lagrange_coefficient(n: int) -> int:
+    """t_n by coefficient extraction from the implicit equation z = T(1-T)^2.
+
+    Expands 1/(1-u)^(2n) = sum_k binom(k+2n-1, k) u^k term by term via the
+    multiplicative recurrence c_k = c_{k-1} (2n-1+k) / k, takes the term at
+    k = n-1, and divides by n.  Deliberately shares no code with
+    :func:`~deptrees.counting.count_closed_form`.
+    """
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    c = 1  # binom(2n-1, 0)
+    for k in range(1, n):
+        c = c * (2 * n - 1 + k) // k
+    q, r = divmod(c, n)
+    assert r == 0, f"n={n} does not divide the extracted coefficient"
+    return q
+
+
 #: builtin toll name -> E(z) = sum of e(t) z^{|t|}, from T(z) at its order
 _TOLL_GFS = {
     "unit": lambda T: T,
@@ -130,7 +149,7 @@ def _check_counts(table: counting.CountTable, oracle_limit: int) -> CheckResult:
         a = table.tree_count(n)
         b = conv.t[n]
         c = counting.count_closed_form(n)
-        d = counting.lagrange_coefficient(n)
+        d = lagrange_coefficient(n)
         if not a == b == c == d:
             return CheckResult(
                 "count-agreement",
@@ -170,9 +189,8 @@ def _check_series(series_terms: int) -> CheckResult:
         return CheckResult(
             "series-identity", False, f"T(1-T)^2 = z fails beyond order {ok_to}"
         )
-    lhs = z_times_derivative(T)
-    rhs = T * (1 - T) * (3 * T).quasi_inverse()
-    if lhs != rhs:
+    # zT' = T(1-T)/(1-3T) is the cumulative GF of the unit toll, E = T
+    if z_times_derivative(T) != cumulative_gf(T, T):
         return CheckResult("series-identity", False, "zT' != T(1-T)/(1-3T)")
     return CheckResult(
         "series-identity",

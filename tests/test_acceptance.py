@@ -13,13 +13,11 @@ from fractions import Fraction
 from pathlib import Path
 
 from deptrees import (
-    GROWTH_RATE,
     build_count_table,
     builtin_tolls,
     cli,
     cumulative_by_enumeration,
     eval_T_numeric,
-    growth_ratio,
     relative_error,
 )
 from deptrees.series import SINGULARITY_FLOAT
@@ -96,8 +94,9 @@ class TestAcceptance:
 
     def test_criterion_07_ratio_gap(self, table_2048):
         started = time.monotonic()
-        gap_200 = abs(GROWTH_RATE - growth_ratio(200, table_2048))
-        gap_2000 = abs(GROWTH_RATE - growth_ratio(2000, table_2048))
+        t = table_2048.t
+        gap_200 = abs(Fraction(27, 4) - Fraction(t[201], t[200]))
+        gap_2000 = abs(Fraction(27, 4) - Fraction(t[2001], t[2000]))
         ok = gap_2000 < RATIO_GAP_TOL_AT_2000 and gap_2000 < gap_200
         verdict(
             7,

@@ -447,6 +447,26 @@ class TestDispatch:
         assert "Traceback" not in stderr
 
 
+class TestPublicApi:
+    def test_all_is_pinned_and_resolves(self):
+        assert sorted(deptrees.__all__) == [
+            "CheckResult", "CountTable", "DEFAULT_ORACLE_LIMIT", "DepTree", "Forest",
+            "OracleLimitError", "ParseError", "PowerSeries", "SamplerState", "TollSpec",
+            "__version__", "build_count_table", "builtin_tolls", "count_closed_form",
+            "cumulative_by_enumeration", "enumerate_forests", "enumerate_trees",
+            "eval_T_numeric", "fold_cost", "mean_parameter", "parse", "parse_forest",
+            "relative_error", "run_verification", "sample_forest", "sample_tree",
+            "serialize", "serialize_forest", "size", "solve_tree_gf",
+            "stirling_log_approx", "toll_by_name", "verify_functional_identity",
+            "z_times_derivative",
+        ]
+        for name in deptrees.__all__:
+            assert getattr(deptrees, name) is not None, name
+        # no module resolves names lazily
+        for module in layers() | {"deptrees"}:
+            assert "__getattr__" not in vars(importlib.import_module(module)), module
+
+
 def layers() -> set[str]:
     return {
         f"deptrees.{path.stem}"
@@ -475,7 +495,12 @@ class TestStartup:
 
     @pytest.mark.parametrize(
         "argv",
-        [("sample", "300", "--seed", "1", "--count", "3"), ("param", "--toll", "unit", "50")],
+        [
+            ("sample", "300", "--seed", "1", "--count", "3"),
+            ("param", "--toll", "unit", "50"),
+            ("verify", "--oracle-limit", "4", "--series-terms", "8"),
+            ("series", "--terms", "8"),
+        ],
     )
     def test_cold_request_loads_no_re_argparse_or_fractions(self, argv):
         # re (with enum) was a third of a request's start-up: argparse and

@@ -1,9 +1,9 @@
 """Counting tests.
 
-Covers: the three counting routes against each other and
-against hand-checked values, table range errors, the asymptotic
-approximation (sign, decay, frozen reference points), and the growth
-ratio's march toward 27/4.
+Covers: the ratio table, the closed form and the Lagrange extraction
+against each other and against hand-checked values, table range errors,
+the asymptotic approximation (sign, decay, frozen reference points), and
+the term ratio's march toward 27/4.
 """
 from __future__ import annotations
 
@@ -14,19 +14,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from deptrees import (
-    ASYMPTOTICS,
-    GROWTH_RATE,
-    SINGULARITY,
     CountTable,
     build_count_table,
     count_closed_form,
     enumerate_forests,
     enumerate_trees,
-    growth_ratio,
-    lagrange_coefficient,
     relative_error,
     stirling_log_approx,
 )
+from deptrees.verification import lagrange_coefficient
 
 # first entries of A006013 and its sequence-of-forests companion
 KNOWN_T = [0, 1, 2, 7, 30, 143, 728, 3876, 21318, 120175, 690690]
@@ -110,30 +106,13 @@ class TestClosedForms:
 
 class TestAsymptotics:
     def test_constants(self):
-        assert GROWTH_RATE == Fraction(27, 4)
-        assert SINGULARITY == Fraction(4, 27)
-        assert GROWTH_RATE * SINGULARITY == 1
-        assert ASYMPTOTICS.exponent == -1.5
-        assert ASYMPTOTICS.amplitude_log == pytest.approx(-0.5 * math.log(27 * math.pi))
-        assert ASYMPTOTICS.growth_rate == GROWTH_RATE
-        assert ASYMPTOTICS.singularity == SINGULARITY
-        with pytest.raises(AttributeError):
-            ASYMPTOTICS.exponent = -1
-
-    def test_lazy_constants_are_one_set_of_objects(self):
-        # built on first access, once, and re-exported by the package
-        import deptrees
-        from deptrees import counting
-
-        for name in ("GROWTH_RATE", "SINGULARITY", "ASYMPTOTICS"):
-            assert name in deptrees.__all__
-            assert getattr(deptrees, name) is getattr(counting, name)
-        assert type(GROWTH_RATE) is Fraction and type(SINGULARITY) is Fraction
-        assert ASYMPTOTICS.growth_rate is GROWTH_RATE
-        assert ASYMPTOTICS.singularity is SINGULARITY
-        for module in (deptrees, counting):
-            with pytest.raises(AttributeError, match="no attribute 'GROWTH'"):
-                module.GROWTH
+        # ln approx(n) = -ln(27 pi)/2 - (3/2) ln n + n ln(27/4): the amplitude,
+        # the exponent -3/2 and the growth rate 27/4, read back out
+        for n in (1, 10, 1000):
+            amplitude = stirling_log_approx(n) + 1.5 * math.log(n) - n * math.log(27 / 4)
+            assert amplitude == pytest.approx(-0.5 * math.log(27 * math.pi), abs=1e-9)
+            step = stirling_log_approx(n + 1) - stirling_log_approx(n)
+            assert step == pytest.approx(math.log(27 / 4) - 1.5 * math.log1p(1 / n), abs=1e-9)
 
     def test_log_approx_at_one(self):
         # ln(4/(27 sqrt(3 pi))) by hand
@@ -165,16 +144,17 @@ class TestAsymptotics:
 
 
 class TestGrowthRatio:
+    # t_{n+1}/t_n, read exactly off the table
+    @staticmethod
+    def ratio(table, n):
+        return Fraction(table.tree_count(n + 1), table.tree_count(n))
+
     def test_exact_small_values(self, table_128):
-        assert growth_ratio(1, table_128) == 2
-        assert growth_ratio(2, table_128) == Fraction(7, 2)
-        assert growth_ratio(3, table_128) == Fraction(30, 7)
+        assert self.ratio(table_128, 1) == 2
+        assert self.ratio(table_128, 2) == Fraction(7, 2)
+        assert self.ratio(table_128, 3) == Fraction(30, 7)
 
     def test_monotone_toward_limit(self, table_128):
-        gaps = [GROWTH_RATE - growth_ratio(n, table_128) for n in (10, 40, 120)]
+        gaps = [Fraction(27, 4) - self.ratio(table_128, n) for n in (10, 40, 120)]
         assert all(g > 0 for g in gaps)
         assert gaps[0] > gaps[1] > gaps[2]
-
-    def test_range_error(self, table_128):
-        with pytest.raises(IndexError):
-            growth_ratio(128, table_128)  # needs t_129

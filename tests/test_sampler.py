@@ -24,7 +24,6 @@ from deptrees import (
     serialize,
     serialize_forest,
     size,
-    total_size,
 )
 from deptrees.sampler import _forest_from_stars, _tree_from_stars, sample_text
 
@@ -115,7 +114,7 @@ class TestShapes:
     def test_forest_sizes_are_exact(self):
         state = SamplerState(31338)
         for m in (0, 1, 5, 40):
-            assert total_size(sample_forest(m, state)) == m
+            assert sum(map(size, sample_forest(m, state))) == m
 
     def test_single_node(self):
         state = SamplerState(0)

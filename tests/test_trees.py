@@ -30,7 +30,6 @@ from deptrees import (
     serialize,
     serialize_forest,
     size,
-    total_size,
 )
 from deptrees.trees import iter_subtrees, oracle_texts, tree_texts
 
@@ -108,11 +107,13 @@ class TestDepTree:
 
 
 class TestSizes:
+    # a forest's total size is the sum of its trees' sizes
     def test_total_size_empty_forest(self):
-        assert total_size(()) == 0
+        assert parse_forest("") == ()
+        assert sum(map(size, parse_forest(""))) == 0
 
     def test_total_size_sums(self):
-        assert total_size((LEAF, chain(3), LEAF)) == 5
+        assert sum(map(size, (LEAF, chain(3), LEAF))) == 5
 
     @given(small_trees)
     def test_size_equals_serialization_node_count(self, t):
@@ -209,7 +210,7 @@ class TestEnumeration:
     def test_forests_partition_by_first_tree(self):
         # every size-3 forest starts with a tree of size 1, 2, or 3
         forests = enumerate_forests(3)
-        assert all(total_size(f) == 3 for f in forests)
+        assert all(sum(map(size, f)) == 3 for f in forests)
         assert {size(f[0]) for f in forests} == {1, 2, 3}
 
     def test_texts_are_the_serialized_objects(self):
