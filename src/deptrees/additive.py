@@ -23,25 +23,42 @@ against them and them against the oracle.
 """
 from __future__ import annotations
 
-from collections import namedtuple
 from math import comb
+from operator import itemgetter
 
 from .counting import count_closed_form
 from .trees import DEFAULT_ORACLE_LIMIT, DepTree, enumerate_trees, iter_subtrees, size
 
 
-class TollSpec(
-    namedtuple("TollSpec", "name evaluate total description", defaults=(None, ""))
-):
+class TollSpec(tuple):
     """A toll e(t) plus, for builtins, the exact total of its parameter.
 
     ``evaluate`` must be a pure function of the tree value returning a
     nonnegative int.  ``total``, if not None, maps a size n >= 1 to the sum
     of c(t) over every size-n tree; tolls without one fall back to
-    enumeration (oracle-limited).  ``description`` defaults to "".
+    enumeration (oracle-limited).  ``description`` defaults to "".  The
+    record is the tuple ``(name, evaluate, total, description)``.
     """
 
     __slots__ = ()
+
+    name = property(itemgetter(0))
+    evaluate = property(itemgetter(1))
+    total = property(itemgetter(2))
+    description = property(itemgetter(3))
+
+    def __new__(cls, name: str, evaluate, total=None, description: str = ""):
+        return tuple.__new__(cls, (name, evaluate, total, description))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self):
+        name, evaluate, total, description = self
+        return (
+            f"{type(self).__name__}(name={name!r}, evaluate={evaluate!r}, "
+            f"total={total!r}, description={description!r})"
+        )
 
 
 def _checked_toll_value(toll: TollSpec, t: DepTree) -> int:

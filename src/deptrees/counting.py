@@ -18,21 +18,34 @@ arithmetic.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+from operator import itemgetter
 
 _AMPLITUDE_LOG = -0.5 * math.log(27.0 * math.pi)
 _LOG_GROWTH = math.log(6.75)
 
 
-class CountTable(namedtuple("CountTable", "t s")):
+class CountTable(tuple):
     """Immutable tables of tree counts t_n and forest counts s_m.
 
     ``t[n]`` counts trees of size n (``t[0]`` is the 0 sentinel); ``s[m]``
     counts forests of total size m.  Both tuples of ints run through index
-    ``n_max``.
+    ``n_max``.  The record is the pair ``(t, s)``: it unpacks, compares and
+    hashes as that plain tuple.
     """
 
     __slots__ = ()
+
+    t = property(itemgetter(0))
+    s = property(itemgetter(1))
+
+    def __new__(cls, t: tuple, s: tuple):
+        return tuple.__new__(cls, (t, s))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self):
+        return f"{type(self).__name__}(t={self[0]!r}, s={self[1]!r})"
 
     @property
     def n_max(self) -> int:

@@ -23,9 +23,8 @@ failure, not propagated: the suite must survive a corrupted table.
 """
 from __future__ import annotations
 
-from collections import Counter, namedtuple
 from itertools import combinations
-from operator import mul
+from operator import itemgetter, mul
 
 from . import counting
 from .additive import builtin_tolls
@@ -49,7 +48,27 @@ MAX_SERIES_TERMS = 512
 SAMPLER_EXACT_LIMIT = 6
 
 
-CheckResult = namedtuple("CheckResult", "name passed detail")
+class CheckResult(tuple):
+    """One check's verdict: its name, whether it passed, and a detail line.
+
+    The record is the tuple ``(name, passed, detail)``.
+    """
+
+    __slots__ = ()
+
+    name = property(itemgetter(0))
+    passed = property(itemgetter(1))
+    detail = property(itemgetter(2))
+
+    def __new__(cls, name: str, passed: bool, detail: str):
+        return tuple.__new__(cls, (name, passed, detail))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self):
+        name, passed, detail = self
+        return f"{type(self).__name__}(name={name!r}, passed={passed!r}, detail={detail!r})"
 
 
 def convolution_table(n_max: int) -> counting.CountTable:
@@ -270,12 +289,15 @@ def _check_sampler(max_size: int = SAMPLER_EXACT_LIMIT) -> CheckResult:
     for n in range(1, max_size + 1):
         draws = n * len(trees[n])
         stream = _EverySubset()
+        hits = {}
         try:
-            hits = Counter(sample_text(n, stream) for _ in range(draws))
+            for _ in range(draws):
+                text = sample_text(n, stream)
+                hits[text] = hits.get(text, 0) + 1
         except _ShortStream:
             problem = f"the star subsets ran out before {draws} draws"
         else:
-            off = sum(hits[s] != n for s in trees[n]) + len(set(hits).difference(trees[n]))
+            off = sum(hits.get(s, 0) != n for s in trees[n]) + len(set(hits).difference(trees[n]))
             if stream.subsets is not None and next(stream.subsets, None) is not None:
                 problem = f"star subsets left over after {draws} draws"
             elif off:

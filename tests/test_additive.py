@@ -101,20 +101,6 @@ class TestBuiltinTolls:
     def test_exactly_three(self):
         assert [t.name for t in builtin_tolls()] == ["unit", "leaf", "size"]
 
-    def test_spec_defaults_and_immutability(self):
-        def evaluate(t):
-            return 1
-
-        spec = TollSpec("x", evaluate)
-        assert (spec.name, spec.evaluate, spec.total, spec.description) == ("x", evaluate, None, "")
-        assert spec == TollSpec("x", evaluate, None, "")
-        assert hash(spec) == hash(TollSpec("x", evaluate))
-        for field in ("name", "evaluate", "total", "description"):
-            with pytest.raises(AttributeError):
-                setattr(spec, field, None)
-            with pytest.raises(AttributeError):
-                delattr(spec, field)
-
     def test_lookup(self):
         assert toll_by_name("leaf").name == "leaf"
         with pytest.raises(ValueError, match="unit, leaf, size"):

@@ -490,8 +490,10 @@ class TestStartup:
         )
         assert proc.returncode == 0, proc.stderr
         loaded = set(proc.stdout.split())
-        assert loaded.isdisjoint({"dataclasses", "typing", "inspect", "secrets", "json"})
-        assert layers() and layers() <= loaded
+        assert loaded.isdisjoint(
+            {"dataclasses", "typing", "inspect", "secrets", "json", "collections"}
+        )
+        assert layers() and layers() | {"random"} <= loaded
 
     @pytest.mark.parametrize(
         "argv",
@@ -500,11 +502,16 @@ class TestStartup:
             ("param", "--toll", "unit", "50"),
             ("verify", "--oracle-limit", "4", "--series-terms", "8"),
             ("series", "--terms", "8"),
+            ("count", "5"),
+            ("count", "--upto", "5", "--format", "json"),
+            ("enumerate", "4"),
+            ("approx", "50", "--compare"),
         ],
     )
     def test_cold_request_loads_no_re_argparse_or_fractions(self, argv):
         # re (with enum) was a third of a request's start-up: argparse and
-        # fractions each imported it, so neither may be on a request's path
+        # fractions each imported it, so neither may be on a request's path.
+        # collections was built into three namedtuples and a Counter only.
         code = (
             "import atexit, sys\n"
             "atexit.register(lambda: print(*sorted(sys.modules), file=sys.stderr))\n"
@@ -522,6 +529,6 @@ class TestStartup:
         assert proc.stdout
         loaded = set(proc.stderr.split())
         heavy = {"re", "enum", "argparse", "gettext", "locale", "shutil",
-                 "fractions", "decimal", "numbers"}
+                 "fractions", "decimal", "numbers", "collections"}
         assert heavy.isdisjoint(loaded), heavy & loaded
         assert layers() <= loaded

@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from deptrees import (
-    CountTable,
     build_count_table,
     count_closed_form,
     enumerate_forests,
@@ -56,17 +55,6 @@ class TestCountTable:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             build_count_table(0)
-
-    def test_frozen_value(self):
-        table = build_count_table(4)
-        for field in ("t", "s"):
-            with pytest.raises(AttributeError):
-                setattr(table, field, ())
-            with pytest.raises(AttributeError):
-                delattr(table, field)
-        assert table == CountTable(table.t, table.s)
-        assert hash(table) == hash(CountTable(table.t, table.s))
-        assert repr(CountTable((0, 1), (1, 1))) == "CountTable(t=(0, 1), s=(1, 1))"
 
     def test_matches_enumeration(self, table_128):
         for n in range(1, 7):
