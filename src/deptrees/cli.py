@@ -35,7 +35,7 @@ import os
 import sys
 from itertools import islice
 
-from .additive import toll_by_name
+from .additive import builtin_tolls, toll_by_name
 from .counting import (
     build_count_table,
     count_closed_form,
@@ -214,7 +214,7 @@ COMMANDS = {
         "additive-parameter total and mean at size n",
         {
             "n": ("positive", None, None, "tree size"),
-            "--toll": (("unit", "leaf", "size"), None, None, "builtin toll"),
+            "--toll": (tuple(t.name for t in builtin_tolls()), None, None, "builtin toll"),
         },
         (("n",), ("--toll",)),
     ),

@@ -155,11 +155,6 @@ def z_times_derivative(a: PowerSeries) -> PowerSeries:
     return PowerSeries(tuple(k * c for k, c in enumerate(a.coeffs)))
 
 
-def _shift_up(a: PowerSeries) -> PowerSeries:
-    """Multiply by z, keeping the truncation order."""
-    return PowerSeries((0,) + a.coeffs[:-1])
-
-
 def solve_tree_gf(n_terms: int) -> PowerSeries:
     """T(z) to order ``n_terms``: [z^n] T is the tree count t_n."""
     return PowerSeries(build_count_table(n_terms).t)

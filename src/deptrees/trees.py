@@ -16,10 +16,12 @@ explicit stacks, so chains thousands of nodes deep are safe.
 Exhaustive enumeration is intentionally capped (default 10, where there are
 already 690690 trees); it exists as ground truth for the formula-based
 modules, not as a production path.  It builds canonical strings directly
-(:func:`tree_texts`, :func:`oracle_texts`) and objects only where asked
-(:func:`enumerate_trees`, :func:`enumerate_forests`).  Nothing is cached
-between calls; each call rebuilds every smaller size.  Per call on a 2-vCPU
-VM (tracemalloc peak), ``tree_texts`` took 0.013 / 0.056 / 0.38 s
+and objects only where asked (:func:`enumerate_trees`,
+:func:`enumerate_forests`).  :func:`oracle_texts` returns the whole string
+pass to size n: the trees of sizes 1..n and the forests of sizes 0..n-1
+they are made from; :func:`tree_texts` is its size-n tree list.  Nothing
+is cached between calls; each call rebuilds every smaller size.  Per call
+on a 2-vCPU VM (tracemalloc peak), ``tree_texts`` took 0.013 / 0.056 / 0.38 s
 (2.5 / 14 / 85 MiB) at n = 8 / 9 / 10, and ``enumerate_trees`` 0.05 / 0.33 /
 2.5 s (7 / 40 / 232 MiB).
 """
@@ -250,23 +252,18 @@ def _check_forest_size(m: int, limit: int) -> None:
         raise OracleLimitError(m, limit)
 
 
-def tree_texts(n: int) -> list[str]:
-    """The canonical string of every tree of size ``n``, in sorted order.
-
-    Refuses ``n > DEFAULT_ORACLE_LIMIT`` as :func:`enumerate_trees` does.
-    """
-    _check_tree_size(n, DEFAULT_ORACLE_LIMIT)
-    return _oracle(n, _TEXTS)[0][n]
-
-
 def oracle_texts(n: int) -> tuple[list, list[list[str]]]:
     """Sorted canonical strings of the trees of every size 1..n (``trees[k]``)
-    and of the forests of every size 0..n (``forests[m]``, concatenated), all
-    from one pass.  Refuses ``n > DEFAULT_ORACLE_LIMIT``."""
-    _check_forest_size(n, DEFAULT_ORACLE_LIMIT)
-    trees, forests = _oracle(n, _TEXTS)
-    forests.append(_forests_of(n, trees, forests, _TEXTS))
-    return trees, forests
+    and of the forests of every size 0..n-1 (``forests[m]``, concatenated)
+    that the size-n trees are built from, all from one pass.  Refuses
+    ``n > DEFAULT_ORACLE_LIMIT`` as :func:`enumerate_trees` does."""
+    _check_tree_size(n, DEFAULT_ORACLE_LIMIT)
+    return _oracle(n, _TEXTS)
+
+
+def tree_texts(n: int) -> list[str]:
+    """The canonical string of every tree of size ``n``, in sorted order."""
+    return oracle_texts(n)[0][n]
 
 
 def enumerate_trees(n: int, limit: int = DEFAULT_ORACLE_LIMIT) -> list[DepTree]:

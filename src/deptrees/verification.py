@@ -5,7 +5,9 @@ each other:
 
   count-agreement    the ratio table's t and s vs the convolution
                      recurrences, t vs closed form and Lagrange extraction,
-                     and both vs exhaustive enumeration
+                     and both vs exhaustive enumeration: t_n distinct,
+                     sorted tree strings at each n up to the oracle limit
+                     L, and s_m distinct, sorted forest strings at m < L
   series-identity    T(1-T)^2 = z coefficientwise, and zT' = T(1-T)/(1-3T)
   additive-agreement the builtin tolls' closed-form totals vs both cumulative
                      GF forms, and the GF vs string folds over the oracle
@@ -17,26 +19,23 @@ The convolution recurrences of the class construction
 (:func:`lagrange_coefficient`) and both cumulative GF forms serve no
 production path; they exist here only as check routes.
 
-Used by the CLI verify subcommand; returns structured results so callers
-decide presentation and exit codes.  A check that raises is reported as a
-failure, not propagated: the suite must survive a corrupted table.
+:func:`run_verification` builds one count table and one oracle pass, hands
+each check the part it reads, and names the ``(passed, detail)`` pair the
+check returns.  Used by the CLI verify subcommand; it returns structured
+results so callers decide presentation and exit codes.  A check that raises
+is reported as a failure, not propagated: the suite must survive a
+corrupted table.
 """
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, islice
 from operator import itemgetter, mul
 
 from . import counting
 from .additive import builtin_tolls
 from .sampler import sample_text
-from .series import (
-    PowerSeries,
-    _shift_up,
-    solve_tree_gf,
-    verify_functional_identity,
-    z_times_derivative,
-)
-from .trees import DEFAULT_ORACLE_LIMIT, oracle_texts, tree_texts
+from .series import PowerSeries, verify_functional_identity, z_times_derivative
+from .trees import DEFAULT_ORACLE_LIMIT, oracle_texts
 
 #: bounds of ``series_terms``.  The count check convolves to that order in
 #: O(N^2) big-int products and the series checks multiply series of that
@@ -150,6 +149,11 @@ def cumulative_gf(E: PowerSeries, T: PowerSeries) -> PowerSeries:
     return E * (1 - T) * (3 * T).quasi_inverse()
 
 
+def _shift_up(a: PowerSeries) -> PowerSeries:
+    """Multiply by z, keeping the truncation order."""
+    return PowerSeries((0,) + a.coeffs[:-1])
+
+
 def cumulative_gf_via_sequences(E: PowerSeries, T: PowerSeries) -> PowerSeries:
     """C = E / (1 - 2z/(1-T)^3), the unsimplified sequence form.
 
@@ -162,7 +166,11 @@ def cumulative_gf_via_sequences(E: PowerSeries, T: PowerSeries) -> PowerSeries:
     return E * kernel.quasi_inverse()
 
 
-def _check_counts(table: counting.CountTable, oracle_limit: int) -> CheckResult:
+def _increasing(texts: list[str]) -> bool:
+    return all(map(str.__lt__, texts, islice(texts, 1, None)))
+
+
+def _check_counts(table: counting.CountTable, trees: list, forests: list) -> tuple[bool, str]:
     conv = convolution_table(table.n_max)
     for n in range(1, table.n_max + 1):
         a = table.tree_count(n)
@@ -170,92 +178,62 @@ def _check_counts(table: counting.CountTable, oracle_limit: int) -> CheckResult:
         c = counting.count_closed_form(n)
         d = lagrange_coefficient(n)
         if not a == b == c == d:
-            return CheckResult(
-                "count-agreement",
-                False,
-                f"n={n}: table {a}, convolution {b}, closed form {c}, Lagrange {d}",
-            )
+            return False, f"n={n}: table {a}, convolution {b}, closed form {c}, Lagrange {d}"
     for m in range(table.n_max + 1):
         if table.forest_count(m) != conv.s[m]:
-            return CheckResult(
-                "count-agreement",
-                False,
-                f"m={m}: forest table {table.forest_count(m)}, convolution {conv.s[m]}",
+            return False, f"m={m}: forest table {table.forest_count(m)}, convolution {conv.s[m]}"
+    # each list is a cross product, so its length matches the convolution by
+    # construction; t_n strictly increasing strings are t_n distinct trees
+    for n in range(1, len(trees)):
+        if len(trees[n]) != table.tree_count(n) or not _increasing(trees[n]):
+            return False, (
+                f"enumeration at n={n} is not {table.tree_count(n)} distinct sorted trees"
             )
-    trees, forests = oracle_texts(oracle_limit)
-    for n in range(1, oracle_limit + 1):
-        if len(trees[n]) != table.tree_count(n):
-            return CheckResult(
-                "count-agreement", False, f"enumeration cardinality differs at n={n}"
+    for m in range(len(forests)):
+        if len(forests[m]) != table.forest_count(m) or not _increasing(forests[m]):
+            return False, (
+                f"enumeration at m={m} is not {table.forest_count(m)} distinct sorted forests"
             )
-    for m in range(oracle_limit + 1):
-        if len(forests[m]) != table.forest_count(m):
-            return CheckResult(
-                "count-agreement", False, f"forest cardinality differs at m={m}"
-            )
-    return CheckResult(
-        "count-agreement",
-        True,
+    return True, (
         f"four routes agree for n=1..{table.n_max}, forests to m={table.n_max}, "
-        f"enumeration to n={oracle_limit}",
+        f"enumeration to n={len(trees) - 1}"
     )
 
 
-def _check_series(series_terms: int) -> CheckResult:
-    T = solve_tree_gf(series_terms)
+def _check_series(t: tuple) -> tuple[bool, str]:
+    T = PowerSeries(t)
     ok_to = verify_functional_identity(T)
-    if ok_to != series_terms:
-        return CheckResult(
-            "series-identity", False, f"T(1-T)^2 = z fails beyond order {ok_to}"
-        )
+    if ok_to != T.order:
+        return False, f"T(1-T)^2 = z fails beyond order {ok_to}"
     # zT' = T(1-T)/(1-3T) is the cumulative GF of the unit toll, E = T
     if z_times_derivative(T) != cumulative_gf(T, T):
-        return CheckResult("series-identity", False, "zT' != T(1-T)/(1-3T)")
-    return CheckResult(
-        "series-identity",
-        True,
-        f"functional and derivative identities hold to order {series_terms}",
-    )
+        return False, "zT' != T(1-T)/(1-3T)"
+    return True, f"functional and derivative identities hold to order {T.order}"
 
 
-def _check_additive(oracle_limit: int, series_terms: int) -> CheckResult:
-    T = solve_tree_gf(series_terms)
+def _check_additive(t: tuple, trees: list) -> tuple[bool, str]:
+    T = PowerSeries(t)
     gfs = []
     for toll in builtin_tolls():
         E = _TOLL_GFS[toll.name](T)
         C = cumulative_gf(E, T)
         if C != cumulative_gf_via_sequences(E, T):
-            return CheckResult(
-                "additive-agreement", False, f"toll {toll.name}: the two GF forms differ"
-            )
-        for n in range(1, series_terms + 1):
+            return False, f"toll {toll.name}: the two GF forms differ"
+        for n in range(1, T.order + 1):
             closed = toll.total(n)
             if closed != C.coefficient(n):
-                return CheckResult(
-                    "additive-agreement",
-                    False,
-                    f"toll {toll.name}, n={n}: closed form {closed} vs GF {C.coefficient(n)}",
+                return False, (
+                    f"toll {toll.name}, n={n}: closed form {closed} vs GF {C.coefficient(n)}"
                 )
         gfs.append((toll, C))
-    # each size is enumerated once and folded under every toll.  Rebuilding
-    # the smaller sizes per call costs about 0.1 s of 2.7 s at n = 10; the
-    # previous size is dropped first, so the peak is one pass.
-    for n in range(1, oracle_limit + 1):
-        texts = tree_texts(n)
+    for n in range(1, len(trees)):
         for toll, C in gfs:
-            direct = sum(map(_TOLL_FOLDS[toll.name], texts))
+            direct = sum(map(_TOLL_FOLDS[toll.name], trees[n]))
             if C.coefficient(n) != direct:
-                return CheckResult(
-                    "additive-agreement",
-                    False,
-                    f"toll {toll.name}, n={n}: GF {C.coefficient(n)} vs oracle {direct}",
-                )
-        del texts
-    return CheckResult(
-        "additive-agreement",
-        True,
+                return False, f"toll {toll.name}, n={n}: GF {C.coefficient(n)} vs oracle {direct}"
+    return True, (
         f"closed forms, both GF forms and oracle totals agree "
-        f"(order {series_terms}, oracle n<={oracle_limit})",
+        f"(order {T.order}, oracle n<={len(trees) - 1})"
     )
 
 
@@ -281,12 +259,11 @@ class _EverySubset:
         raise _ShortStream
 
 
-def _check_sampler(max_size: int = SAMPLER_EXACT_LIMIT) -> CheckResult:
+def _check_sampler(trees: list) -> tuple[bool, str]:
     # every tree of size n has exactly n of the binom(3n-2, n-1) = n t_n
     # star subsets as preimages (the cycle lemma), so replaying each subset
     # once through the real sampler must hit each tree exactly n times
-    trees, _ = oracle_texts(max_size)
-    for n in range(1, max_size + 1):
+    for n in range(1, len(trees)):
         draws = n * len(trees[n])
         stream = _EverySubset()
         hits = {}
@@ -304,17 +281,15 @@ def _check_sampler(max_size: int = SAMPLER_EXACT_LIMIT) -> CheckResult:
                 problem = f"{off} tree(s) not hit exactly {n} times"
             else:
                 continue
-        return CheckResult("sampler-exact", False, f"n={n}: {problem}")
-    return CheckResult(
-        "sampler-exact",
-        True,
-        f"every star subset drawn once: each tree hit exactly n times for n<={max_size}",
+        return False, f"n={n}: {problem}"
+    return True, (
+        f"every star subset drawn once: each tree hit exactly n times for n<={len(trees) - 1}"
     )
 
 
-def _guarded(name: str, thunk) -> CheckResult:
+def _guarded(name: str, check, *inputs) -> CheckResult:
     try:
-        return thunk()
+        return CheckResult(name, *check(*inputs))
     except Exception as exc:  # noqa: BLE001  - any crash is a finding here
         return CheckResult(name, False, f"raised {type(exc).__name__}: {exc}")
 
@@ -324,7 +299,11 @@ def run_verification(
     series_terms: int = 64,
     table: counting.CountTable | None = None,
 ) -> list[CheckResult]:
-    """Run all checks; an injected table lets tests exercise failures."""
+    """Run all checks on one count table and one oracle pass.
+
+    An injected table (for tests) feeds the three table-based checks: the
+    series checks read T(z) off its first ``series_terms + 1`` terms.
+    """
     if not 1 <= oracle_limit <= DEFAULT_ORACLE_LIMIT:
         raise ValueError(
             f"need 1 <= oracle_limit <= {DEFAULT_ORACLE_LIMIT} (the enumeration limit), "
@@ -335,13 +314,17 @@ def run_verification(
             f"need {MIN_SERIES_TERMS} <= series_terms <= {MAX_SERIES_TERMS} "
             f"(the check-route bound), got {series_terms}"
         )
+    n_max = max(series_terms, oracle_limit)
     if table is None:
-        table = counting.build_count_table(max(series_terms, oracle_limit))
+        table = counting.build_count_table(n_max)
+    elif table.n_max < n_max:
+        raise ValueError(f"the injected table stops at n={table.n_max}, short of {n_max}")
+    trees, forests = oracle_texts(max(oracle_limit, SAMPLER_EXACT_LIMIT))
+    t = table.t[: series_terms + 1]
+    to_limit = trees[: oracle_limit + 1]
     return [
-        _guarded("count-agreement", lambda: _check_counts(table, oracle_limit)),
-        _guarded("series-identity", lambda: _check_series(series_terms)),
-        _guarded(
-            "additive-agreement", lambda: _check_additive(oracle_limit, series_terms)
-        ),
-        _guarded("sampler-exact", _check_sampler),
+        _guarded("count-agreement", _check_counts, table, to_limit, forests[:oracle_limit]),
+        _guarded("series-identity", _check_series, t),
+        _guarded("additive-agreement", _check_additive, t, to_limit),
+        _guarded("sampler-exact", _check_sampler, trees[: SAMPLER_EXACT_LIMIT + 1]),
     ]

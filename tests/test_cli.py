@@ -225,8 +225,7 @@ class TestVerify:
         def refuse(*args, **kwargs):
             raise RuntimeError("enumeration started")
 
-        for name in ("tree_texts", "oracle_texts"):
-            monkeypatch.setattr(verification, name, refuse)
+        monkeypatch.setattr(verification, "oracle_texts", refuse)
         code, out, err = run_cli(capsys, "verify", "--oracle-limit", "11")
         assert code == 1
         assert out == ""

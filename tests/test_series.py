@@ -23,7 +23,7 @@ from deptrees import (
     verify_functional_identity,
     z_times_derivative,
 )
-from deptrees.series import SINGULARITY_FLOAT, _shift_up
+from deptrees.series import SINGULARITY_FLOAT
 from deptrees.verification import convolution_table
 
 coefficients = st.integers(-9, 9)
@@ -175,11 +175,6 @@ class TestDerivative:
         # z d/dz is a derivation, exactly at the product's order
         lhs = z_times_derivative(a * b)
         assert lhs == z_times_derivative(a) * b + a * z_times_derivative(b)
-
-
-class TestHelpers:
-    def test_shift_up(self):
-        assert _shift_up(PowerSeries([1, 2, 3])).coeffs == (0, 1, 2)
 
 
 class TestTreeGF:

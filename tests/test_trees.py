@@ -215,7 +215,7 @@ class TestEnumeration:
 
     def test_texts_are_the_serialized_objects(self):
         table = build_count_table(8)
-        trees, forests = oracle_texts(8)
+        trees, forests = oracle_texts(9)
         for n in range(1, 9):
             texts = tree_texts(n)
             assert texts == trees[n]

@@ -1,18 +1,19 @@
 """Verification suite tests.
 
-Covers: the suite passing on a healthy build, structured results, fault
-injection through a corrupted count table (both directly and through the
-CLI), through a wrong closed-form additive total, an oracle missing a tree
-and a wrong string fold under the additive check, and through samplers that
-are biased, draw from the wrong slot range or skip draws, crash
-containment inside checks, and parameter validation.
+Covers: the suite passing on a healthy build, structured results, one
+count table and one oracle pass per run, fault injection through a
+corrupted count table (both directly and through the CLI), through a wrong
+closed-form additive total, an oracle missing or repeating a tree and a
+wrong string fold, and through samplers that are biased, draw from the
+wrong slot range or skip draws, crash containment inside checks, parameter
+validation, and the series helper of the sequence-form cumulative GF.
 """
 from __future__ import annotations
 
 import pytest
 
 from deptrees import CheckResult, CountTable, TollSpec, build_count_table, run_verification
-from deptrees import cli, verification
+from deptrees import cli, counting, series, verification
 from deptrees.sampler import _tree_from_stars
 
 
@@ -44,6 +45,26 @@ class TestHealthyRun:
         results = run_verification(oracle_limit=4, series_terms=8, table=table)
         assert all(r.passed for r in results)
 
+    def test_one_table_and_one_oracle_pass(self, monkeypatch):
+        calls = {"table": 0, "oracle": 0}
+        real_table, real_oracle = counting.build_count_table, verification.oracle_texts
+
+        def table(n):
+            calls["table"] += 1
+            return real_table(n)
+
+        def oracle(n):
+            calls["oracle"] += 1
+            return real_oracle(n)
+
+        monkeypatch.setattr(counting, "build_count_table", table)
+        monkeypatch.setattr(series, "build_count_table", table)
+        monkeypatch.setattr(verification, "oracle_texts", oracle)
+        results = run_verification(oracle_limit=7, series_terms=16)
+        assert all(r.passed for r in results)
+        assert calls == {"table": 1, "oracle": 1}
+        assert not hasattr(verification, "tree_texts")
+
 
 class TestFaultInjection:
     def test_corrupted_count_detected(self):
@@ -69,6 +90,26 @@ class TestFaultInjection:
         results = run_verification(oracle_limit=4, series_terms=8, table=bad)
         assert not results[0].passed
 
+    def test_corrupted_count_fails_the_series_checks_too(self):
+        # T(z) is read off the injected table, up to the series order
+        bad = corrupt(build_count_table(16), 5)
+        by_name = {r.name: r for r in run_verification(oracle_limit=4, series_terms=8, table=bad)}
+        assert not by_name["series-identity"].passed
+        assert by_name["series-identity"].detail == "T(1-T)^2 = z fails beyond order 4"
+        # the two GF forms agree only when T solves its equation
+        assert by_name["additive-agreement"].detail == "toll unit: the two GF forms differ"
+        assert by_name["sampler-exact"].passed
+
+    def test_non_integer_table_fails_checks_not_the_suite(self):
+        table = build_count_table(16)
+        t = list(table.t)
+        t[3] = 7.0
+        bad = CountTable(tuple(t), table.s)
+        by_name = {r.name: r for r in run_verification(oracle_limit=4, series_terms=8, table=bad)}
+        for name in ("series-identity", "additive-agreement"):
+            assert not by_name[name].passed
+            assert by_name[name].detail.startswith("raised TypeError")
+
     def test_wrong_closed_form_total_detected(self, monkeypatch):
         # a size total off by one at n = 5 only: the GF routes must catch it
         real = verification.builtin_tolls()
@@ -87,21 +128,45 @@ class TestFaultInjection:
         assert "closed form" in by_name["additive-agreement"].detail
 
     def test_missing_oracle_tree_detected(self, monkeypatch):
-        # the additive check's oracle loses one size-5 tree: every toll's
-        # total at n = 5 falls short of the GF
-        real = verification.tree_texts
+        # the shared oracle loses one size-5 tree: the count falls short,
+        # and every toll's total at n = 5 falls short of the GF
+        real = verification.oracle_texts
 
         def short(n):
-            texts = real(n)
-            return texts[1:] if n == 5 else texts
+            trees, forests = real(n)
+            del trees[5][0]
+            return trees, forests
 
-        monkeypatch.setattr(verification, "tree_texts", short)
+        monkeypatch.setattr(verification, "oracle_texts", short)
         results = run_verification(oracle_limit=6, series_terms=8)
         by_name = {r.name: r for r in results}
         assert not by_name["additive-agreement"].passed
         assert "n=5" in by_name["additive-agreement"].detail
         assert "vs oracle" in by_name["additive-agreement"].detail
-        assert by_name["count-agreement"].passed
+        assert not by_name["count-agreement"].passed
+        assert "n=5" in by_name["count-agreement"].detail
+
+    @pytest.mark.parametrize(
+        "part, size, detail",
+        [
+            (0, 5, "enumeration at n=5 is not 143 distinct sorted trees"),
+            (1, 4, "enumeration at m=4 is not 55 distinct sorted forests"),
+        ],
+        ids=["tree", "forest"],
+    )
+    def test_repeated_oracle_string_detected(self, monkeypatch, part, size, detail):
+        # one string stands in for another: the list still has the right
+        # length, but no longer that many distinct trees (or forests)
+        real = verification.oracle_texts
+
+        def repeating(n):
+            oracle = real(n)
+            oracle[part][size][1] = oracle[part][size][0]
+            return oracle
+
+        monkeypatch.setattr(verification, "oracle_texts", repeating)
+        results = run_verification(oracle_limit=6, series_terms=8)
+        assert results[0] == CheckResult("count-agreement", False, detail)
 
     def test_wrong_string_fold_detected(self, monkeypatch):
         real = verification._TOLL_FOLDS["size"]
@@ -175,6 +240,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             run_verification(oracle_limit=0)
 
+    def test_short_injected_table_is_refused(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise RuntimeError("enumeration started")
+
+        monkeypatch.setattr(verification, "oracle_texts", refuse)
+        with pytest.raises(ValueError, match="stops at n=8, short of 9"):
+            run_verification(oracle_limit=9, series_terms=8, table=build_count_table(8))
+        with pytest.raises(ValueError, match="stops at n=15, short of 16"):
+            run_verification(oracle_limit=4, series_terms=16, table=build_count_table(15))
+
     def test_series_terms_bounds(self):
         with pytest.raises(ValueError):
             run_verification(series_terms=3)
@@ -201,3 +276,8 @@ class TestCliIntegration:
         assert code == 1
         assert "FAIL" in captured.out
         assert "verification failed: count-agreement" in captured.err
+
+
+class TestRoutes:
+    def test_shift_up(self):
+        assert verification._shift_up(series.PowerSeries([1, 2, 3])).coeffs == (0, 1, 2)
