@@ -5,28 +5,12 @@ verification failure, 2 usage error.  Data goes to stdout, diagnostics
 (including generated seeds) to stderr.  All behavior is controlled by
 flags; invocations are deterministic given their flags, including --seed.
 
-The arguments live in one table, :data:`COMMANDS`: per subcommand its
-handler, a help line, its arguments (positionals and options, each with a
-kind, a default and a help line) and its required groups.  It drives
-:func:`parse_args`, the ``-h``/``--help`` text and the usage errors.  The
-argparse behaviors kept are:
-
-* ``--opt value`` and ``--opt=value``, and any unique prefix of a long
-  option (``--up 5``);
-* options and positionals in any order, and ``--`` to end the options;
-* the last of a repeated option wins;
-* a negative number is a value, not an option, so ``--seed -5`` works;
-* ``-h``/``--help`` prints help to stdout and exits 0;
-* a usage error prints the usage line and the error to stderr, nothing to
-  stdout, and exits 2.  A value that does not convert, and an option given
-  with its excluded partner, fail at once; missing and unrecognized
-  arguments are reported after the last word, so a later ``-h`` still
-  prints the help.
-
-There is no short-option clustering and no abbreviation of subcommand
-names.  The table replaces argparse, whose import (with ``re``,
-``gettext``, ``locale`` and ``shutil``) and parser set-up took longer
-than the work of a typical request.
+The arguments live in one table, :data:`COMMANDS`.  Plain argv, the shape
+of every scripted request, is read straight off it (:func:`_direct`), so
+a request imports neither argparse nor the ``re``, ``gettext`` and
+``locale`` it pulls in, which took longer than the work of a typical
+request.  Everything else (help, abbreviations, ``--`` and every usage
+error) goes to an argparse parser built from the same table.
 """
 from __future__ import annotations
 
@@ -164,7 +148,8 @@ _DESCRIPTION = (
 #: value as a keyword, the name without its dashes and with "-" read as "_".
 #: kind is "positive" (an int >= 1), "int", "flag" (True when given) or a
 #: tuple of choices; metavar names an int option's value in the help.
-#: Exactly one name of each required group must be given.
+#: Exactly one name of each required group must be given; a positional
+#: outside a group of two or more is always required.
 COMMANDS = {
     "count": (
         _cmd_count,
@@ -230,182 +215,112 @@ COMMANDS = {
 }
 
 
-def _shown(name: str, kind, metavar) -> str:
-    if not name.startswith("--") or kind == "flag":
-        return name
-    if isinstance(kind, tuple):
-        return f"{name} {{{','.join(kind)}}}"
-    return f"{name} {metavar}"
-
-
-def _usage(command: str | None) -> str:
-    if command is None:
-        return f"usage: deptrees [-h] {{{','.join(COMMANDS)}}} ..."
-    _, _, arguments, groups = COMMANDS[command]
-    words = ["usage: deptrees", command, "[-h]"]
-    for name, (kind, metavar, _, _) in arguments.items():
-        group = next((g for g in groups if name in g), None)
-        if group is None:
-            words.append(f"[{_shown(name, kind, metavar)}]")
-        elif name == group[0]:
-            shown = " | ".join(_shown(g, *arguments[g][:2]) for g in group)
-            words.append(f"({shown})" if len(group) > 1 else shown)
-    return " ".join(words)
-
-
-def _help(command: str | None) -> str:
-    if command is None:
-        head, title = _DESCRIPTION, "commands"
-        rows = [(name, spec[1]) for name, spec in COMMANDS.items()]
-    else:
-        _, head, arguments, _ = COMMANDS[command]
-        title = "arguments"
-        rows = [
-            (_shown(name, kind, metavar),
-             text if default in (None, False) else f"{text} (default: {default})")
-            for name, (kind, metavar, default, text) in arguments.items()
-        ]
-    rows.append(("-h, --help", "show this help and exit"))
-    width = max(len(left) for left, _ in rows)
-    lines = [_usage(command), "", head, "", f"{title}:"]
-    lines += [f"  {left:<{width}}  {right}" for left, right in rows]
-    return "\n".join(lines)
-
-
-def _fail(command: str | None, message: str):
-    prog = f"deptrees {command}" if command else "deptrees"
-    print(f"{_usage(command)}\n{prog}: error: {message}", file=sys.stderr)
-    raise SystemExit(2)
-
-
-def _option(command: str | None, word: str, names):
-    """How argparse reads ``word`` against the long options ``names``.
-
-    None for a positional (a word not starting with ``-``, ``-`` and
-    ``--`` themselves, a negative number, or a word with a space);
-    otherwise (name, explicit value or None), with name None for an
-    unrecognized option.  A long option may be shortened to any unique
-    prefix; an ambiguous one is a usage error.
-    """
-    if not word.startswith("-") or word in ("-", "--"):
-        return None
-    if word in names:
-        return word, None
-    if not word.startswith("--") and word.startswith("-h"):
-        return "--help", word[2:].removeprefix("=") if word != "-h" else None
-    prefix, eq, text = word.partition("=")
-    if word.startswith("--"):
-        found = [prefix] if prefix in names else [n for n in names if n.startswith(prefix)]
-        if len(found) > 1:
-            _fail(command, f"ambiguous option: {prefix} could match {', '.join(found)}")
-        if found:
-            return found[0], text if eq else None
-    # argparse's negative numbers, -\d+ and -\d*.\d+, are positionals
-    whole, dot, frac = word[1:].partition(".")
-    if dot:
-        negative = frac.isdecimal() and (not whole or whole.isdecimal())
-    else:
-        negative = whole.isdecimal()
-    return None if negative or " " in word else (None, None)
-
-
 def _keyword(name: str) -> str:
     return name.lstrip("-").replace("-", "_")
 
 
-def _convert(command: str, name: str, kind, text: str):
-    if isinstance(kind, tuple):
-        if text not in kind:
-            choices = ", ".join(map(repr, kind))
-            _fail(command, f"argument {name}: invalid choice: {text!r} (choose from {choices})")
-        return text
-    try:
+def _direct(argv: list[str]) -> tuple[str, dict] | None:
+    """The subcommand and values of plain ``argv``, read off the table; else None.
+
+    Plain is the subcommand, then positionals and exact long options, as
+    ``--opt value`` or ``--opt=value``, in any order, with each required
+    group given exactly once and the last of a repeated option winning.  A
+    value or positional starts with ``-`` only as a negative integer, and
+    must convert.  argparse reads every plain argv the same way.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    command, *words = argv
+    _, _, arguments, groups = COMMANDS[command]
+    waiting = [name for name in arguments if not name.startswith("--")]
+    values = {_keyword(name): spec[2] for name, spec in arguments.items()}
+    given = []
+    words = iter(words)
+    for word in words:
+        if word.startswith("--"):
+            name, eq, text = word.partition("=")
+            if name not in arguments or (eq and arguments[name][0] == "flag"):
+                return None
+            if not eq and arguments[name][0] != "flag":
+                text = next(words, "-")  # a missing value is refused below
+        elif waiting:
+            name, text = waiting.pop(0), word
+        else:
+            return None
+        kind = arguments[name][0]
+        if kind == "flag":
+            value = True
+        elif text.startswith("-") and not text[1:].isdecimal():
+            return None
+        elif isinstance(kind, tuple):
+            if text not in kind:
+                return None
+            value = text
+        else:
+            try:
+                value = int(text)
+            except ValueError:
+                return None
+            if kind == "positive" and value < 1:
+                return None
+        values[_keyword(name)] = value
+        given.append(name)
+    if any(sum(name in group for name in given) != 1 for group in groups):
+        return None
+    return command, values
+
+
+def _parser():
+    """The argparse parser of :data:`COMMANDS`, for every argv off the plain shape."""
+    import argparse
+
+    def positive(text: str) -> int:
         value = int(text)
-    except ValueError:
-        _fail(command, f"argument {name}: invalid int value: {text!r}")
-    if kind == "positive" and value < 1:
-        _fail(command, f"argument {name}: must be a positive integer, got {value}")
-    return value
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+        return value
 
-
-def _help_flag(command: str | None, explicit: str | None):
-    if explicit is not None:
-        _fail(command, f"argument -h/--help: ignored explicit argument {explicit!r}")
-    print(_help(command))
-    raise SystemExit(0)
+    positive.__name__ = "int"  # argparse's "invalid int value: 'x'" names the type
+    parser = argparse.ArgumentParser(prog="deptrees", description=_DESCRIPTION)
+    subparsers = parser.add_subparsers(dest="command", required=True)
+    for command, (_, text, arguments, groups) in COMMANDS.items():
+        sub = subparsers.add_parser(command, help=text, description=text)
+        exclusive = {}
+        for group in groups:
+            if len(group) > 1:
+                target = sub.add_mutually_exclusive_group(required=True)
+                exclusive.update(dict.fromkeys(group, target))
+        for name, (kind, metavar, default, help) in arguments.items():
+            if default not in (None, False):
+                help = f"{help} (default: {default})"
+            options = {"default": default, "help": help}
+            if kind == "flag":
+                options["action"] = "store_true"
+            elif isinstance(kind, tuple):
+                options["choices"] = kind
+            else:
+                options.update(type=positive if kind == "positive" else int, metavar=metavar)
+            if name in exclusive and not name.startswith("--"):
+                options["nargs"] = "?"
+            elif name.startswith("--") and (name,) in groups:
+                options["required"] = True
+            exclusive.get(name, sub).add_argument(name, **options)
+    return parser
 
 
 def parse_args(argv: list[str]) -> tuple[str, dict]:
     """The subcommand and its handler's keyword arguments, read from ``argv``.
 
-    Reads ``argv`` against :data:`COMMANDS`.  On ``-h``/``--help`` prints
-    the help to stdout and raises ``SystemExit(0)``; on a usage error
-    prints the usage line and the error to stderr and raises
-    ``SystemExit(2)``.
+    Plain argv is read straight off :data:`COMMANDS` (:func:`_direct`);
+    anything else goes to the argparse parser built from the same table,
+    which prints the help and exits 0 on ``-h``/``--help``, and prints the
+    usage and the error to stderr and exits 2 on a usage error.
     """
-    extras = []
-    words = iter(argv)
-    # the top level has one option, -h/--help; its first positional is the
-    # subcommand, and every word after that belongs to the subcommand
-    for command in words:
-        option = _option(None, command, ("--help",))
-        if option is None:
-            break
-        if option[0] is None:
-            extras.append(command)
-        else:
-            _help_flag(None, option[1])
-    else:
-        _fail(None, "the following arguments are required: command")
-    if command not in COMMANDS:
-        _fail(None, f"argument command: invalid choice: {command!r}")
-    _, _, arguments, groups = COMMANDS[command]
-    options = [name for name in arguments if name.startswith("--")] + ["--help"]
-    waiting = [name for name in arguments if not name.startswith("--")]
-    values = {_keyword(name): spec[2] for name, spec in arguments.items()}
-    given = set()
-    only_positionals = False
-    for word in words:
-        if word == "--" and not only_positionals:
-            only_positionals = True
-            continue
-        option = None if only_positionals else _option(command, word, options)
-        if option is None:
-            if not waiting:
-                extras.append(word)
-                continue
-            name = waiting.pop(0)
-            value = _convert(command, name, arguments[name][0], word)
-        elif option[0] is None:
-            extras.append(word)
-            continue
-        else:
-            name, explicit = option
-            if name == "--help":
-                _help_flag(command, explicit)
-            kind = arguments[name][0]
-            if kind == "flag":
-                if explicit is not None:
-                    _fail(command, f"argument {name}: ignored explicit argument {explicit!r}")
-                value = True
-            else:
-                if explicit is None:
-                    explicit = next(words, None)
-                    if explicit is None:
-                        _fail(command, f"argument {name}: expected one argument")
-                value = _convert(command, name, kind, explicit)
-        group = next((g for g in groups if name in g), ())
-        clash = [other for other in group if other in given and other != name]
-        if clash:
-            _fail(command, f"argument {name}: not allowed with argument {clash[0]}")
-        values[_keyword(name)] = value
-        given.add(name)
-    for group in groups:
-        if given.isdisjoint(group):
-            _fail(command, f"the following arguments are required: {' | '.join(group)}")
-    if extras:
-        _fail(command, f"unrecognized arguments: {' '.join(extras)}")
-    return command, values
+    parsed = _direct(argv)
+    if parsed is None:
+        values = vars(_parser().parse_args(argv))
+        parsed = values.pop("command"), values
+    return parsed
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -302,7 +302,9 @@ def run_verification(
     """Run all checks on one count table and one oracle pass.
 
     An injected table (for tests) feeds the three table-based checks: the
-    series checks read T(z) off its first ``series_terms + 1`` terms.
+    series checks read T(z) off its terms up to ``max(series_terms,
+    oracle_limit)``, so the additive check has a GF coefficient for every
+    oracle size.
     """
     if not 1 <= oracle_limit <= DEFAULT_ORACLE_LIMIT:
         raise ValueError(
@@ -320,7 +322,7 @@ def run_verification(
     elif table.n_max < n_max:
         raise ValueError(f"the injected table stops at n={table.n_max}, short of {n_max}")
     trees, forests = oracle_texts(max(oracle_limit, SAMPLER_EXACT_LIMIT))
-    t = table.t[: series_terms + 1]
+    t = table.t[: n_max + 1]
     to_limit = trees[: oracle_limit + 1]
     return [
         _guarded("count-agreement", _check_counts, table, to_limit, forests[:oracle_limit]),

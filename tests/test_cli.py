@@ -7,9 +7,9 @@ series-terms checks of ``verify``, ``param`` at large n with no table or
 series, ``param`` and ``approx --compare`` computing each big number once,
 block writes of line output, the ``python -m deptrees`` entry, the
 BrokenPipe path of ``run()``, the console-script mapping in
-``pyproject.toml``, and what a cold ``import deptrees.cli`` and a cold
-request load.  The argv parser itself is tested against argparse in
-``test_cli_args.py``.
+``pyproject.toml``, what a cold ``import deptrees.cli`` and a cold
+request load, and a cold help and usage error.  The argv parser itself is
+tested against argparse in ``test_cli_args.py``.
 """
 from __future__ import annotations
 
@@ -498,6 +498,7 @@ class TestStartup:
         "argv",
         [
             ("sample", "300", "--seed", "1", "--count", "3"),
+            ("sample", "5", "--seed", "-5"),
             ("param", "--toll", "unit", "50"),
             ("verify", "--oracle-limit", "4", "--series-terms", "8"),
             ("series", "--terms", "8"),
@@ -531,3 +532,24 @@ class TestStartup:
                  "fractions", "decimal", "numbers", "collections"}
         assert heavy.isdisjoint(loaded), heavy & loaded
         assert layers() <= loaded
+
+    @pytest.mark.parametrize(
+        "argv, code", [(("--help",), 0), (("sample", "-h"), 0), (("count", "0"), 2)]
+    )
+    def test_cold_help_and_usage_error_go_through_argparse(self, argv, code):
+        # off the plain shape the argparse parser built from COMMANDS answers
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", "from deptrees.cli import run; run()", *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=child_env(),
+        )
+        assert proc.returncode == code, proc.stderr
+        if code == 0:
+            assert proc.stdout.startswith("usage: deptrees")
+            assert proc.stderr == ""
+        else:
+            assert proc.stdout == ""
+            assert proc.stderr.startswith("usage: deptrees count")
+            assert "error: argument n: must be a positive integer, got 0" in proc.stderr

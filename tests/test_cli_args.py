@@ -1,16 +1,22 @@
 """The table-driven argv parser against an argparse reference.
 
-``reference_parser`` declares the CLI's arguments with argparse and is
-the oracle here only: valid argv must give the same subcommand and values,
-invalid argv must be a usage error (exit 2, nothing on stdout, a
+``reference_parser`` declares the CLI's arguments with argparse by hand
+and is the oracle here only: valid argv must give the same subcommand and
+values, invalid argv must be a usage error (exit 2, nothing on stdout, a
 ``usage:`` line on stderr) under both, and every help text must name each
-option and choice the reference's help names.
+option and choice the reference's help names.  A property test draws argv
+from a word vocabulary: ``cli.parse_args`` must give the reference's
+values or exit code, and the direct read, whenever it answers, the
+reference's values.
 """
 from __future__ import annotations
 
 import argparse
+import io
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from deptrees import cli
 
@@ -125,6 +131,7 @@ INVALID = [
     ("sample", "3", "--count", "-2"),
     ("sample", "3", "--seed", "x"),
     ("sample", "3", "--seed", "0x10"),
+    ("sample", "3", "--seed", "-1_0"),
     ("sample", "3", "--seed"),
     ("sample", "3", "--bogus"),
     ("sample", "3", "--seed=1", "--c"),
@@ -136,6 +143,8 @@ INVALID = [
     ("param", "--toll", "leaf"),
     ("verify", "--oracle-limit", "-1"),
     ("verify", "--series-terms", "two"),
+    ("series", "--"),
+    ("verify", "--"),
 ]
 
 
@@ -149,11 +158,20 @@ def reference(argv):
     return values.pop("command"), values
 
 
+def parsed(argv):
+    """``cli.parse_args``'s (command, values), or the SystemExit code it raised."""
+    try:
+        return cli.parse_args(list(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
 @pytest.mark.parametrize("argv", VALID, ids=" ".join)
 def test_valid_argv_gives_the_reference_values(argv):
     expected = reference(argv)
     assert isinstance(expected, tuple), f"the reference refused {argv}"
     assert cli.parse_args(list(argv)) == expected
+    assert cli._direct(list(argv)) in (None, expected)
 
 
 @pytest.mark.parametrize("argv", INVALID, ids=" ".join)
@@ -193,6 +211,50 @@ def test_help_wins_over_errors_reported_after_the_last_word(capsys, argv):
     # unrecognized arguments are reported only once every word is read
     assert reference(argv) == 0
     assert cli.main(list(argv)) == 0
+
+
+WORDS = [
+    *COMMANDS, "Count", "",
+    "--upto", "--up", "--u", "--format", "--form", "--f", "--compare", "--comp",
+    "--count", "--co", "--c", "--seed", "--se", "--s", "--terms", "--t", "--toll",
+    "--to", "--oracle-limit", "--o", "--series-terms", "--series",
+    "--upto=5", "--up=3", "--format=csv", "--format=", "--compare=yes",
+    "--seed=-3", "--seed=", "--t=7", "--toll=leaf", "--s=16",
+    "--", "-", "-h", "--help", "--he", "-hx", "--bogus", "-x",
+    "0", "1", "3", "12", "-5", "-0", "-1.5", "+4", "+0", "1_0", "-1_0", "0x10",
+    "\u0663", "-\u0663", "\uff13", "-\uff15", "5 ", " 7", "-5 ", "--seed 5", "3\n", "-3\n",
+    "plain", "csv", "json", "xml", "unit", "leaf", "size", "x",
+]
+
+argvs = st.one_of(
+    st.lists(st.sampled_from(WORDS), max_size=5),
+    st.builds(
+        lambda command, rest: [command, *rest],
+        st.sampled_from(COMMANDS),
+        st.lists(st.sampled_from(WORDS), max_size=6),
+    ),
+)
+
+
+@given(argvs)
+@settings(max_examples=400, deadline=None)
+def test_random_argv_agrees_with_the_reference(argv):
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        expected = reference(argv)
+        assert parsed(argv) == expected
+        direct = cli._direct(list(argv))
+    assert direct is None or direct == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("sample", "5", "--seed", "-5"), ("sample", "--seed=-12", "5", "--count", "3"),
+     ("count", "--format", "json", "--upto", "4"), ("approx", "--compare", "10"),
+     ("verify", "--oracle-limit", "4", "--series-terms", "8"), ("series",)],
+    ids=" ".join,
+)
+def test_plain_argv_is_read_directly(argv):
+    assert cli._direct(list(argv)) == reference(argv)
 
 
 def test_the_table_lists_the_reference_commands():

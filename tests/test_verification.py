@@ -40,6 +40,12 @@ class TestHealthyRun:
         assert all(r.passed for r in results)
         assert all(isinstance(r, CheckResult) and r.detail for r in results)
 
+    def test_series_terms_below_the_oracle_limit(self):
+        # the additive check reads the GF coefficient of every oracle size
+        results = run_verification(oracle_limit=8, series_terms=4)
+        assert all(r.passed for r in results), results
+        assert "order 8" in results[1].detail
+
     def test_injected_table_is_used(self):
         table = build_count_table(16)
         results = run_verification(oracle_limit=4, series_terms=8, table=table)
