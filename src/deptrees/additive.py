@@ -27,7 +27,7 @@ from math import comb
 from operator import itemgetter
 
 from .counting import count_closed_form
-from .trees import DEFAULT_ORACLE_LIMIT, DepTree, enumerate_trees, iter_subtrees, size
+from .trees import DepTree, enumerate_trees, iter_subtrees, size
 
 
 class TollSpec(tuple):
@@ -126,13 +126,11 @@ def toll_by_name(name: str) -> TollSpec:
     raise ValueError(f"unknown toll {name!r}; builtins are: {known}")
 
 
-def cumulative_by_enumeration(
-    toll: TollSpec, n: int, limit: int = DEFAULT_ORACLE_LIMIT
-) -> int:
+def cumulative_by_enumeration(toll: TollSpec, n: int) -> int:
     """Sum of fold_cost over every size-n tree, straight from the oracle."""
     if n < 1:
         raise ValueError(f"tree sizes start at 1, got {n}")
-    return sum(fold_cost(t, toll) for t in enumerate_trees(n, limit=limit))
+    return sum(fold_cost(t, toll) for t in enumerate_trees(n))
 
 
 def mean_parameter(toll: TollSpec, n: int):

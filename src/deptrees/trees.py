@@ -13,10 +13,10 @@ Serialization is injective, and byte-lexicographic order of serializations
 defines the total order on trees.  All traversals in this module use
 explicit stacks, so chains thousands of nodes deep are safe.
 
-Exhaustive enumeration is intentionally capped (default 10, where there are
-already 690690 trees); it exists as ground truth for the formula-based
-modules, not as a production path.  It builds canonical strings directly
-and objects only where asked (:func:`enumerate_trees`,
+Exhaustive enumeration is capped at ``DEFAULT_ORACLE_LIMIT`` = 10, where
+there are already 690690 trees; it exists as ground truth for the
+formula-based modules, not as a production path.  It builds canonical
+strings directly and objects only where asked (:func:`enumerate_trees`,
 :func:`enumerate_forests`).  :func:`oracle_texts` returns the whole string
 pass to size n: the trees of sizes 1..n and the forests of sizes 0..n-1
 they are made from; :func:`tree_texts` is its size-n tree list.  Nothing
@@ -42,10 +42,7 @@ class OracleLimitError(ValueError):
     """Requested size is beyond the exhaustive-enumeration limit."""
 
     def __init__(self, n: int, limit: int):
-        super().__init__(
-            f"size {n} exceeds the enumeration limit {limit}; "
-            f"pass a larger limit explicitly to enumerate beyond it"
-        )
+        super().__init__(f"size {n} exceeds the enumeration limit {limit}")
         self.limit = limit
 
 
@@ -238,18 +235,11 @@ def _oracle(n: int, kind) -> tuple[list, list]:
     return trees, forests
 
 
-def _check_tree_size(n: int, limit: int) -> None:
-    if n < 1:
-        raise ValueError(f"tree size must be at least 1, got {n}")
-    if n > limit:
-        raise OracleLimitError(n, limit)
-
-
-def _check_forest_size(m: int, limit: int) -> None:
-    if m < 0:
-        raise ValueError(f"forest size must be nonnegative, got {m}")
-    if m > limit:
-        raise OracleLimitError(m, limit)
+def _check_size(n: int, kind: str = "tree", least: int = 1) -> None:
+    if n < least:
+        raise ValueError(f"{kind} size must be at least {least}, got {n}")
+    if n > DEFAULT_ORACLE_LIMIT:
+        raise OracleLimitError(n, DEFAULT_ORACLE_LIMIT)
 
 
 def oracle_texts(n: int) -> tuple[list, list[list[str]]]:
@@ -257,7 +247,7 @@ def oracle_texts(n: int) -> tuple[list, list[list[str]]]:
     and of the forests of every size 0..n-1 (``forests[m]``, concatenated)
     that the size-n trees are built from, all from one pass.  Refuses
     ``n > DEFAULT_ORACLE_LIMIT`` as :func:`enumerate_trees` does."""
-    _check_tree_size(n, DEFAULT_ORACLE_LIMIT)
+    _check_size(n)
     return _oracle(n, _TEXTS)
 
 
@@ -266,17 +256,17 @@ def tree_texts(n: int) -> list[str]:
     return oracle_texts(n)[0][n]
 
 
-def enumerate_trees(n: int, limit: int = DEFAULT_ORACLE_LIMIT) -> list[DepTree]:
+def enumerate_trees(n: int) -> list[DepTree]:
     """Every tree of size ``n`` exactly once, sorted by serialization.
 
-    Refuses ``n > limit``: the counts grow like (27/4)^n, so unbounded
-    enumeration is never what you want by accident.
+    Refuses ``n > DEFAULT_ORACLE_LIMIT``: the counts grow like (27/4)^n, so
+    unbounded enumeration is never what you want by accident.
     """
-    _check_tree_size(n, limit)
+    _check_size(n)
     return [tree for _, tree in _oracle(n, _OBJECTS)[0][n]]
 
 
-def enumerate_forests(m: int, limit: int = DEFAULT_ORACLE_LIMIT) -> list[Forest]:
+def enumerate_forests(m: int) -> list[Forest]:
     """Every forest of total size ``m``, sorted by concatenated serialization."""
-    _check_forest_size(m, limit)
+    _check_size(m, "forest", 0)
     return [forest for _, forest in _forests_of(m, *_oracle(m, _OBJECTS), _OBJECTS)]

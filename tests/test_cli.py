@@ -3,7 +3,8 @@
 Covers: golden-file byte matches, every output format, seed handling
 (reproducibility, entropy fallback to stderr), the exit-code contract
 (0 success, 1 domain failure, 2 usage), the up-front oracle-limit and
-series-terms checks of ``verify``, ``param`` at large n with no table or
+series-terms checks of ``verify``, the up-front size bound of ``count n``,
+``approx --compare`` and ``param``, ``param`` at large n with no table or
 series, ``param`` and ``approx --compare`` computing each big number once,
 block writes of line output, the ``python -m deptrees`` entry, the
 BrokenPipe path of ``run()``, the console-script mapping in
@@ -196,12 +197,14 @@ class TestApprox:
         assert calls == [n]
 
     def test_huge_n_does_not_overflow(self, capsys):
-        code, out, _ = run_cli(capsys, "approx", "5000")
-        assert code == 0
-        lines = dict(line.split(" ", 1) for line in out.splitlines())
-        mantissa, exponent = lines["approx"].split("e")
-        assert 1.0 <= float(mantissa) < 10.0
-        assert int(exponent) > 4000
+        # plain approx is O(1): no bound on n, unlike --compare
+        for n, digits in ((5000, 4000), (10**18, 8 * 10**17)):
+            code, out, _ = run_cli(capsys, "approx", str(n))
+            assert code == 0
+            lines = dict(line.split(" ", 1) for line in out.splitlines())
+            mantissa, exponent = lines["approx"].split("e")
+            assert 1.0 <= float(mantissa) < 10.0
+            assert int(exponent) > digits
 
     def test_usage_error(self, capsys):
         assert run_cli(capsys, "approx", "0")[0] == 2
@@ -363,6 +366,40 @@ class TestParam:
         assert run_cli(capsys, "param", "--toll", "depth", "3")[0] == 2
         assert run_cli(capsys, "param", "3")[0] == 2
         assert run_cli(capsys, "param", "--toll", "leaf", "0")[0] == 2
+
+
+class TestExactBound:
+    """``count n``, ``approx n --compare`` and ``param`` refuse n above the
+    bound before any work: math.comb's cost grows about quadratically."""
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started")
+
+        for name in ("count_closed_form", "stirling_log_approx", "toll_by_name",
+                     "build_count_table"):
+            monkeypatch.setattr(cli, name, refuse)
+
+    @pytest.mark.parametrize("argv", [
+        ["count", str(cli._MAX_EXACT_N + 1)],
+        ["count", "1000000", "--format", "json"],
+        ["approx", "1000000000000000000", "--compare"],
+        ["param", "--toll", "unit", "1000000"],
+        ["param", "--toll", "size", str(cli._MAX_EXACT_N + 1)],
+    ])
+    def test_refused_before_any_work(self, capsys, no_work, argv):
+        n = next(word for word in argv if word.isdecimal())
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: n={n} is above {cli._MAX_EXACT_N}, the largest n counted exactly\n"
+
+    def test_the_bound_itself_is_accepted(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "count_closed_form", lambda n: 7)
+        monkeypatch.setattr(cli, "relative_error_of", lambda ln_approx, t: 0.5)
+        assert run_cli(capsys, "count", str(cli._MAX_EXACT_N)) == (0, "7\n", "")
+        code, out, _ = run_cli(capsys, "approx", str(cli._MAX_EXACT_N), "--compare")
+        assert (code, out.splitlines()[-2:]) == (0, ["exact 7", "rel_error 0.5"])
 
 
 class TestOutput:

@@ -4,12 +4,15 @@ Covers: integer-only coefficients, immutability and pickling, ring
 axioms (checked property-style), the quasi-inverse contract, derivatives,
 T(z) against the convolution recurrences, coefficientwise identity
 verification with deliberate corruption, and the numeric evaluation
-branch with its singular endpoint.
+branch with its singular endpoint and its relative error against a
+high-precision root from subnormal z up to 0.9 * 4/27.
 """
 from __future__ import annotations
 
 import copy
+import math
 import pickle
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -237,3 +240,22 @@ class TestNumericBranch:
         # T(z) = z + 2z^2 + O(z^3)
         z = 1e-6
         assert eval_T_numeric(z) == pytest.approx(z + 2 * z * z, rel=1e-6)
+        # abs=0: approx would otherwise also accept anything within 1e-12
+        assert eval_T_numeric(1e-50) == pytest.approx(1e-50, rel=1e-15, abs=0)
+
+    def test_relative_error_against_a_decimal_root(self):
+        # 80-digit Newton from t = z: T(1-T)^2 - z is concave and increasing
+        # on [0, 1/3], so the steps rise monotonically to the root
+        with localcontext() as ctx:
+            ctx.prec = 80
+            lo, hi = math.log(5e-324), math.log(0.9 * SINGULARITY_FLOAT)
+            grid = [5e-324] + [math.exp(lo + (hi - lo) * i / 199) for i in range(1, 200)]
+            for z in grid:
+                zd = t = Decimal(z)
+                for _ in range(200):
+                    step = (t * (1 - t) ** 2 - zd) / ((1 - t) * (1 - 3 * t))
+                    t -= step
+                    if abs(step) <= t * Decimal("1e-60"):
+                        break
+                error = abs(Decimal(eval_T_numeric(z)) - t) / t
+                assert error <= Decimal("2e-15"), (z, error)

@@ -249,12 +249,15 @@ class TestEnumeration:
             with pytest.raises(OracleLimitError) as exc_info:
                 trees(DEFAULT_ORACLE_LIMIT + 1)
             assert exc_info.value.limit == DEFAULT_ORACLE_LIMIT
-            assert str(DEFAULT_ORACLE_LIMIT) in str(exc_info.value)
+            assert str(exc_info.value) == (
+                f"size {DEFAULT_ORACLE_LIMIT + 1} exceeds the enumeration limit "
+                f"{DEFAULT_ORACLE_LIMIT}"
+            )
             with pytest.raises(OracleLimitError):
                 forests(DEFAULT_ORACLE_LIMIT + 1)
 
-    def test_limit_is_overridable(self):
-        assert len(enumerate_trees(3, limit=3)) == 7
-        with pytest.raises(OracleLimitError) as exc_info:
-            enumerate_trees(4, limit=3)
-        assert exc_info.value.limit == 3
+    def test_limit_is_a_constant(self):
+        # no entry point takes a limit, so the error above advises passing none
+        for entry in (enumerate_trees, enumerate_forests):
+            with pytest.raises(TypeError):
+                entry(3, limit=3)
