@@ -27,13 +27,7 @@ from .counting import (
     stirling_log_approx,
 )
 from .sampler import SamplerState, sample_forest, sample_tree
-from .series import (
-    PowerSeries,
-    eval_T_numeric,
-    solve_tree_gf,
-    verify_functional_identity,
-    z_times_derivative,
-)
+from .series import PowerSeries, eval_T_numeric, solve_tree_gf
 from .trees import (
     DEFAULT_ORACLE_LIMIT,
     DepTree,
@@ -84,7 +78,5 @@ __all__ = [
     "solve_tree_gf",
     "stirling_log_approx",
     "toll_by_name",
-    "verify_functional_identity",
-    "z_times_derivative",
     "__version__",
 ]

@@ -31,7 +31,14 @@ from .series import solve_tree_gf
 from .trees import tree_texts
 from .verification import run_verification
 
-_LN10 = math.log(10.0)
+#: round(log10(27/4) * 10^330): n * this / 10^330 is n log10(27/4) to within
+#: 1e-22 for every n < 2^1024, the n that ``stirling_log_approx`` takes
+_LOG10_GROWTH = int(
+    "82930377283102492145760592031635987406400682964787051186874199866147107980213435015"
+    "50505627064765604500251239218941469224993716644086350418716464508051970796707229270"
+    "5112726714571614426322451053358986541012929917338813151834505668279301236494270223"
+    "1138942038296662032940048706930742856066113770041301594481564238908828252371034034"
+)
 #: lines per write: one write per line costs a system call each when stdout
 #: is unbuffered (PYTHONUNBUFFERED), and one write of the whole output would
 #: hold it all in memory at once
@@ -42,12 +49,13 @@ _BLOCK_LINES = 4096
 _MAX_EXACT_N = 100_000
 
 
-def _decimal_form(ln_value: float) -> str:
-    """Scientific-notation string for exp(ln_value), overflow-proof."""
-    log10 = ln_value / _LN10
+def _decimal_form(n: int) -> str:
+    """(27/4)^n / (sqrt(27 pi) n^(3/2)) in scientific notation; the integer part
+    of its log10's term n log10(27/4) is exact, so float error does not grow with n."""
+    whole, part = divmod(n * _LOG10_GROWTH, 10**330)
+    log10 = part / 10**330 - 1.5 * math.log10(n) - 0.5 * math.log10(27 * math.pi)
     exponent = math.floor(log10)
-    mantissa = 10.0 ** (log10 - exponent)
-    return f"{mantissa:.6f}e{exponent:+d}"
+    return f"{10.0 ** (log10 - exponent):.6f}e{whole + exponent:+d}"
 
 
 def _check_exact(n: int) -> None:
@@ -97,7 +105,7 @@ def _cmd_approx(n, compare) -> int:
     ln_approx = stirling_log_approx(n)
     print(f"n {n}")
     print(f"ln_approx {ln_approx!r}")
-    print(f"approx {_decimal_form(ln_approx)}")
+    print(f"approx {_decimal_form(n)}")
     if compare:
         t = count_closed_form(n)
         print(f"exact {t}")

@@ -14,9 +14,10 @@ Combinatorics*, I.5; Devroye, SIAM J. Comput. 2012).
 The cost is one ``random.sample`` of n-1 slots, a sort and a linear
 scan: no count table and no big integers.  :func:`sample_text` returns
 the canonical string the map produces; :func:`sample_tree` parses it into
-a :class:`DepTree`.  A forest of size m is the left forest of a tree of size
-m+1 whose root has no right children, drawn by rejection; a draw is
-accepted with probability (m+1)/(3m+1) >= 1/3.
+a :class:`DepTree`.  :func:`sample_forest` draws trees of size m+1 with
+:func:`sample_text` until the root has no right children, and returns the
+root's left forest, a uniform forest of size m; a draw is accepted with
+probability (m+1)/(3m+1) >= 1/3.
 
 The pseudo-random stream is the stdlib Mersenne Twister
 (:class:`random.Random`).  Reproducibility is per build: the same seed
@@ -69,22 +70,11 @@ def _tree_from_stars(n: int, stars) -> str:
     return "".join(out)
 
 
-def _forest_from_stars(m: int, stars) -> str | None:
-    """The root's left forest of the size-(m+1) tree ``stars`` encodes, or
-    None when that root has right children."""
-    text = _tree_from_stars(m + 1, stars)
-    return text[1:-2] if text.endswith("|]") else None
-
-
-def _draw_stars(n: int, state: SamplerState) -> list[int]:
-    return sorted(state.rng.sample(range(3 * n - 2), n - 1))
-
-
 def sample_text(n: int, state: SamplerState) -> str:
     """The canonical string of one uniform tree of size exactly n >= 1."""
     if n < 1:
         raise ValueError(f"tree size must be at least 1, got {n}")
-    return _tree_from_stars(n, _draw_stars(n, state))
+    return _tree_from_stars(n, sorted(state.rng.sample(range(3 * n - 2), n - 1)))
 
 
 def sample_tree(n: int, state: SamplerState) -> DepTree:
@@ -97,6 +87,6 @@ def sample_forest(m: int, state: SamplerState) -> Forest:
     if m < 0:
         raise ValueError(f"forest size must be nonnegative, got {m}")
     while True:
-        text = _forest_from_stars(m, _draw_stars(m + 1, state))
-        if text is not None:
-            return parse_forest(text)
+        text = sample_text(m + 1, state)
+        if text.endswith("|]"):  # the root has no right children
+            return parse_forest(text[1:-2])

@@ -11,12 +11,11 @@ The generating function T(z) = sum t_n z^n of tree counts satisfies
     T(z) = z / (1 - T(z))^2        equivalently    T (1 - T)^2 = z.
 
 Its coefficients are the tree counts, so :func:`solve_tree_gf` reads them
-from the count table rather than solving the equation;
-:func:`verify_functional_identity` checks them against the equation
-coefficientwise, which does not depend on how they were made, and
-:func:`eval_T_numeric` evaluates its branch through 0 on [0, 4/27] by Viete's
-root T = (4/3) sin^2(a/3) of the cubic, where sin a = sqrt(27 z)/2: with
-s = sin(a/3), sin a = 3s - 4s^3 gives T (1-T)^2 = (4/27) sin^2 a = z.
+from the count table rather than solving the equation (``verify`` checks
+them against the equation coefficientwise, in :mod:`deptrees.verification`),
+and :func:`eval_T_numeric` evaluates its branch through 0 on [0, 4/27] by
+Viete's root T = (4/3) sin^2(a/3) of the cubic, where sin a = sqrt(27 z)/2:
+with s = sin(a/3), sin a = 3s - 4s^3 gives T (1-T)^2 = (4/27) sin^2 a = z.
 """
 from __future__ import annotations
 
@@ -152,29 +151,9 @@ class PowerSeries:
         return PowerSeries(b)
 
 
-def z_times_derivative(a: PowerSeries) -> PowerSeries:
-    """z * a'(z) at full order N: coefficient k becomes k * a_k."""
-    return PowerSeries(tuple(k * c for k, c in enumerate(a.coeffs)))
-
-
 def solve_tree_gf(n_terms: int) -> PowerSeries:
     """T(z) to order ``n_terms``: [z^n] T is the tree count t_n."""
     return PowerSeries(build_count_table(n_terms).t)
-
-
-def verify_functional_identity(T: PowerSeries) -> int:
-    """Largest order M with [z^k] (T (1-T)^2 - z) = 0 for all k <= M.
-
-    Returns the truncation order of ``T`` when the identity holds exactly;
-    0 means failure at order 1 (or at the constant term).
-    """
-    residual = list((T * (1 - T).square()).coeffs)
-    if len(residual) > 1:
-        residual[1] -= 1
-    for k, c in enumerate(residual):
-        if c != 0:
-            return max(k - 1, 0)
-    return T.order
 
 
 #: Dominant singularity of T(z) as a float; the numeric domain boundary.

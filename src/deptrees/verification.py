@@ -16,7 +16,8 @@ each other:
 
 The convolution recurrences of the class construction
 (:func:`convolution_table`), the Lagrange extraction of t_n
-(:func:`lagrange_coefficient`) and both cumulative GF forms serve no
+(:func:`lagrange_coefficient`), the residual T(1-T)^2 - z, the derivative
+zT' (:func:`z_times_derivative`) and both cumulative GF forms serve no
 production path; they exist here only as check routes.
 
 :func:`run_verification` builds one count table and one oracle pass, hands
@@ -34,7 +35,7 @@ from operator import itemgetter, mul
 from . import counting
 from .additive import builtin_tolls
 from .sampler import sample_text
-from .series import PowerSeries, verify_functional_identity, z_times_derivative
+from .series import PowerSeries
 from .trees import DEFAULT_ORACLE_LIMIT, oracle_texts
 
 #: bounds of ``series_terms``.  The count check convolves to that order in
@@ -114,14 +115,6 @@ def lagrange_coefficient(n: int) -> int:
     return q
 
 
-#: builtin toll name -> E(z) = sum of e(t) z^{|t|}, from T(z) at its order
-_TOLL_GFS = {
-    "unit": lambda T: T,
-    "leaf": lambda T: PowerSeries.monomial(T.order, 1),
-    "size": z_times_derivative,
-}
-
-
 def _size_fold(text: str) -> int:
     # c(t) for e = |t| is the sum of the depths of the nodes, counting the
     # root as 1: the nesting depth just after each node's "["
@@ -154,6 +147,11 @@ def _shift_up(a: PowerSeries) -> PowerSeries:
     return PowerSeries((0,) + a.coeffs[:-1])
 
 
+def z_times_derivative(a: PowerSeries) -> PowerSeries:
+    """z * a'(z) at full order N: coefficient k becomes k * a_k."""
+    return PowerSeries(tuple(k * c for k, c in enumerate(a.coeffs)))
+
+
 def cumulative_gf_via_sequences(E: PowerSeries, T: PowerSeries) -> PowerSeries:
     """C = E / (1 - 2z/(1-T)^3), the unsimplified sequence form.
 
@@ -164,6 +162,14 @@ def cumulative_gf_via_sequences(E: PowerSeries, T: PowerSeries) -> PowerSeries:
     one_minus_T_cubed = (1 - T).square() * (1 - T)
     kernel = _shift_up((1 - one_minus_T_cubed).quasi_inverse()) * 2
     return E * kernel.quasi_inverse()
+
+
+#: builtin toll name -> E(z) = sum of e(t) z^{|t|}, from T(z) at its order
+_TOLL_GFS = {
+    "unit": lambda T: T,
+    "leaf": lambda T: PowerSeries.monomial(T.order, 1),
+    "size": z_times_derivative,
+}
 
 
 def _increasing(texts: list[str]) -> bool:
@@ -202,9 +208,10 @@ def _check_counts(table: counting.CountTable, trees: list, forests: list) -> tup
 
 def _check_series(t: tuple) -> tuple[bool, str]:
     T = PowerSeries(t)
-    ok_to = verify_functional_identity(T)
-    if ok_to != T.order:
-        return False, f"T(1-T)^2 = z fails beyond order {ok_to}"
+    # the residual T(1-T)^2 - z: [z^1] of T(1-T)^2 must be 1, every other 0
+    for k, c in enumerate((T * (1 - T).square()).coeffs):
+        if c != (k == 1):
+            return False, f"T(1-T)^2 = z fails beyond order {max(k - 1, 0)}"
     # zT' = T(1-T)/(1-3T) is the cumulative GF of the unit toll, E = T
     if z_times_derivative(T) != cumulative_gf(T, T):
         return False, "zT' != T(1-T)/(1-3T)"

@@ -30,7 +30,6 @@ from deptrees import (
     solve_tree_gf,
     toll_by_name,
     trees,
-    z_times_derivative,
 )
 from deptrees.trees import OracleLimitError, iter_subtrees
 from deptrees.verification import (
@@ -38,6 +37,7 @@ from deptrees.verification import (
     _TOLL_GFS,
     cumulative_gf,
     cumulative_gf_via_sequences,
+    z_times_derivative,
 )
 
 LEAF = DepTree()

@@ -4,7 +4,8 @@ Covers: golden-file byte matches, every output format, seed handling
 (reproducibility, entropy fallback to stderr), the exit-code contract
 (0 success, 1 domain failure, 2 usage), the up-front oracle-limit and
 series-terms checks of ``verify``, the up-front size bound of ``count n``,
-``approx --compare`` and ``param``, ``param`` at large n with no table or
+``approx --compare`` and ``param``, the ``approx`` line against a
+``Decimal`` reference up to n = 2^1023, ``param`` at large n with no table or
 series, ``param`` and ``approx --compare`` computing each big number once,
 block writes of line output, the ``python -m deptrees`` entry, the
 BrokenPipe path of ``run()``, the console-script mapping in
@@ -20,6 +21,7 @@ import math
 import os
 import subprocess
 import sys
+from decimal import ROUND_FLOOR, Decimal, localcontext
 from pathlib import Path
 
 import pytest
@@ -40,6 +42,7 @@ from deptrees import (
 )
 
 GOLDEN = Path(__file__).parent / "golden"
+PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494459230781")
 PYPROJECT = Path(__file__).parent.parent / "pyproject.toml"
 # The directory this process imported deptrees from; children put it first
 # on their path so they run the code under test, never an installed copy.
@@ -205,6 +208,30 @@ class TestApprox:
             mantissa, exponent = lines["approx"].split("e")
             assert 1.0 <= float(mantissa) < 10.0
             assert int(exponent) > digits
+
+    def test_log10_growth_is_log10_27_over_4(self):
+        with localcontext() as ctx:
+            ctx.prec = 360
+            assert cli._LOG10_GROWTH == round((Decimal(27) / 4).log10().scaleb(330))
+
+    @pytest.mark.parametrize(
+        "n", [6236, 5 * 10**9, *(10**k for k in range(19)), 10**308, 2**1023]
+    )
+    def test_digits_against_a_decimal_reference(self, capsys, n):
+        # log10 taken from ln_approx in float printed 7.615727e+5164 at
+        # n = 6236, an exponent off by 3 at 10**18, and overflowed at 10**308
+        with localcontext() as ctx:
+            ctx.prec = 360
+            log10 = (
+                n * (Decimal(27) / 4).log10()
+                - Decimal("1.5") * Decimal(n).log10()
+                - (27 * PI).log10() / 2
+            )
+            exponent = int(log10.to_integral_value(rounding=ROUND_FLOOR))
+            mantissa = Decimal(10) ** (log10 - exponent)
+        code, out, _ = run_cli(capsys, "approx", str(n))
+        assert code == 0
+        assert out.splitlines()[2] == f"approx {mantissa:.6f}e{exponent:+d}"
 
     def test_usage_error(self, capsys):
         assert run_cli(capsys, "approx", "0")[0] == 2
@@ -493,8 +520,7 @@ class TestPublicApi:
             "eval_T_numeric", "fold_cost", "mean_parameter", "parse", "parse_forest",
             "relative_error", "run_verification", "sample_forest", "sample_tree",
             "serialize", "serialize_forest", "size", "solve_tree_gf",
-            "stirling_log_approx", "toll_by_name", "verify_functional_identity",
-            "z_times_derivative",
+            "stirling_log_approx", "toll_by_name",
         ]
         for name in deptrees.__all__:
             assert getattr(deptrees, name) is not None, name

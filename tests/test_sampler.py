@@ -25,7 +25,7 @@ from deptrees import (
     serialize_forest,
     size,
 )
-from deptrees.sampler import _forest_from_stars, _tree_from_stars, sample_text
+from deptrees.sampler import _tree_from_stars, sample_text
 
 # alpha = 0.001 critical value for 6 degrees of freedom (the 7 shapes of
 # size 3), frozen from a one-time quantile computation
@@ -46,8 +46,11 @@ class TestExactUniformity:
 
     @pytest.mark.parametrize("m", range(0, 6))
     def test_forest_paths(self, m):
-        hits = Counter(_forest_from_stars(m, stars) for stars in star_subsets(m + 1))
-        rejected = hits.pop(None, 0)
+        # sample_forest keeps the left forest of a size-(m+1) tree whose root
+        # has no right children
+        texts = [_tree_from_stars(m + 1, stars) for stars in star_subsets(m + 1)]
+        hits = Counter(text[1:-2] for text in texts if text.endswith("|]"))
+        rejected = len(texts) - sum(hits.values())
         assert set(hits) == {serialize_forest(f) for f in enumerate_forests(m)}
         assert set(hits.values()) == {m + 1}
         accepted = sum(hits.values())
@@ -98,6 +101,19 @@ class TestDeterminism:
         b = SamplerState(2024)
         for n in (1, 2, 4, 300) * 3:
             assert sample_text(n, a) == serialize(sample_tree(n, b))
+        assert a.rng.getstate() == b.rng.getstate()
+
+    @pytest.mark.parametrize("m", range(13))
+    def test_forest_is_the_first_tree_without_right_children(self, m):
+        # twin streams: sample_forest draws exactly the trees sample_text
+        # draws, up to the first whose root has no right children
+        a = SamplerState(m)
+        b = SamplerState(m)
+        for _ in range(3):
+            text = sample_text(m + 1, b)
+            while not text.endswith("|]"):
+                text = sample_text(m + 1, b)
+            assert serialize_forest(sample_forest(m, a)) == text[1:-2]
         assert a.rng.getstate() == b.rng.getstate()
 
     def test_seed_recorded(self):

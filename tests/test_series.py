@@ -2,10 +2,10 @@
 
 Covers: integer-only coefficients, immutability and pickling, ring
 axioms (checked property-style), the quasi-inverse contract, derivatives,
-T(z) against the convolution recurrences, coefficientwise identity
-verification with deliberate corruption, and the numeric evaluation
-branch with its singular endpoint and its relative error against a
-high-precision root from subnormal z up to 0.9 * 4/27.
+T(z) against the convolution recurrences, the coefficientwise identity
+check of ``verify`` (``_check_series``) with deliberate corruption, and the
+numeric evaluation branch with its singular endpoint and its relative error
+against a high-precision root from subnormal z up to 0.9 * 4/27.
 """
 from __future__ import annotations
 
@@ -18,16 +18,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deptrees import (
-    PowerSeries,
-    build_count_table,
-    eval_T_numeric,
-    solve_tree_gf,
-    verify_functional_identity,
-    z_times_derivative,
-)
+from deptrees import PowerSeries, build_count_table, eval_T_numeric, solve_tree_gf
 from deptrees.series import SINGULARITY_FLOAT
-from deptrees.verification import convolution_table
+from deptrees.verification import _check_series, convolution_table, z_times_derivative
 
 coefficients = st.integers(-9, 9)
 series = st.lists(coefficients, min_size=1, max_size=7).map(PowerSeries)
@@ -195,18 +188,22 @@ class TestTreeGF:
 
     def test_identity_holds(self):
         for n in (1, 2, 8, 33):
-            assert verify_functional_identity(solve_tree_gf(n)) == n
+            assert _check_series(solve_tree_gf(n).coeffs) == (
+                True, f"functional and derivative identities hold to order {n}"
+            )
 
     def test_identity_detects_corruption(self):
         T = solve_tree_gf(12)
         for k in (2, 7, 12):
             coeffs = list(T.coeffs)
             coeffs[k] += 1
-            assert verify_functional_identity(PowerSeries(coeffs)) == k - 1
+            assert _check_series(tuple(coeffs)) == (
+                False, f"T(1-T)^2 = z fails beyond order {k - 1}"
+            )
 
     def test_identity_fails_at_zero_for_wrong_start(self):
-        assert verify_functional_identity(PowerSeries((0,) * 6)) == 0
-        assert verify_functional_identity(PowerSeries([1, 1, 1])) == 0
+        for t in ((0,) * 6, (1, 1, 1)):
+            assert _check_series(t) == (False, "T(1-T)^2 = z fails beyond order 0")
 
     def test_derivative_identity(self):
         T = solve_tree_gf(48)
