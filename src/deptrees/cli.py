@@ -55,7 +55,9 @@ def _decimal_form(n: int) -> str:
     whole, part = divmod(n * _LOG10_GROWTH, 10**330)
     log10 = part / 10**330 - 1.5 * math.log10(n) - 0.5 * math.log10(27 * math.pi)
     exponent = math.floor(log10)
-    return f"{10.0 ** (log10 - exponent):.6f}e{whole + exponent:+d}"
+    # round first: a mantissa of 9.9999996 carries into the exponent
+    mantissa, shift = f"{10.0 ** (log10 - exponent):.6e}".split("e")
+    return f"{mantissa}e{whole + exponent + int(shift):+d}"
 
 
 def _check_exact(n: int) -> None:

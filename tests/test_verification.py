@@ -1,20 +1,24 @@
 """Verification suite tests.
 
 Covers: the suite passing on a healthy build, structured results, one
-count table and one oracle pass per run, fault injection through a
-corrupted count table (both directly and through the CLI), through a wrong
-closed-form additive total, an oracle missing or repeating a tree and a
-wrong string fold, and through samplers that are biased, draw from the
-wrong slot range or skip draws, crash containment inside checks, parameter
-validation, and the series helper of the sequence-form cumulative GF.
+count table, one oracle pass and one cumulative GF kernel per run, fault
+injection through a corrupted count table (both directly and through the
+CLI), through a wrong closed-form additive total, an oracle missing or
+repeating a tree and a wrong string fold, and through samplers that are
+biased, draw from the wrong slot range, skip draws or ignore their stream,
+crash containment inside checks, parameter validation, and the series
+helper of the sequence-form cumulative GF.
 """
 from __future__ import annotations
+
+from itertools import cycle
 
 import pytest
 
 from deptrees import CheckResult, CountTable, TollSpec, build_count_table, run_verification
 from deptrees import cli, counting, series, verification
 from deptrees.sampler import _tree_from_stars
+from deptrees.trees import tree_texts
 
 
 def corrupt(table: CountTable, n: int, delta: int = 1) -> CountTable:
@@ -71,6 +75,21 @@ class TestHealthyRun:
         assert calls == {"table": 1, "oracle": 1}
         assert not hasattr(verification, "tree_texts")
 
+    def test_one_kernel_per_check(self, monkeypatch):
+        # the series check forms C(E = T) once, and the additive check one
+        # kernel K = C(E = 1) in each form, which serves all three tolls
+        calls = []
+        for name in ("cumulative_gf", "cumulative_gf_via_sequences"):
+
+            def counted(E, T, name=name, real=getattr(verification, name)):
+                calls.append(name)
+                return real(E, T)
+
+            monkeypatch.setattr(verification, name, counted)
+        results = run_verification(oracle_limit=4, series_terms=8)
+        assert all(r.passed for r in results)
+        assert sorted(calls) == ["cumulative_gf"] * 2 + ["cumulative_gf_via_sequences"]
+
 
 class TestFaultInjection:
     def test_corrupted_count_detected(self):
@@ -102,8 +121,8 @@ class TestFaultInjection:
         by_name = {r.name: r for r in run_verification(oracle_limit=4, series_terms=8, table=bad)}
         assert not by_name["series-identity"].passed
         assert by_name["series-identity"].detail == "T(1-T)^2 = z fails beyond order 4"
-        # the two GF forms agree only when T solves its equation
-        assert by_name["additive-agreement"].detail == "toll unit: the two GF forms differ"
+        # the two kernel forms agree only when T solves its equation
+        assert by_name["additive-agreement"].detail == "the two GF forms differ"
         assert by_name["sampler-exact"].passed
 
     def test_non_integer_table_fails_checks_not_the_suite(self):
@@ -198,7 +217,7 @@ class TestFaultInjection:
         # redrawing once whenever the root has right children (the text
         # does not end in "|]") skews the shapes toward left-heavy roots;
         # every shape still appears, but the redraws use up the subsets
-        # before n t_n draws at n = 2
+        # after 2 of the n t_n = 4 draws at n = 2
         real = verification.sample_text
 
         def biased(n, state):
@@ -208,7 +227,7 @@ class TestFaultInjection:
         monkeypatch.setattr(verification, "sample_text", biased)
         result = sampler_result(run_verification(oracle_limit=4, series_terms=8))
         assert not result.passed
-        assert result.detail.startswith("n=2: the star subsets ran out")
+        assert result.detail == "n=2: 2 draws succeeded, not 4"
 
     def test_short_slot_range_detected(self, monkeypatch):
         # n-1 stars among 3n-3 slots: one slot short, so only
@@ -225,7 +244,8 @@ class TestFaultInjection:
 
     def test_skipped_draws_detected(self, monkeypatch):
         # a sampler that repeats its last tree instead of drawing every
-        # other call leaves half the subsets unused
+        # other call leaves subsets unused: at n = 1 its second call
+        # succeeds where the one subset allows one draw
         real = verification.sample_text
         last = {}
 
@@ -238,7 +258,35 @@ class TestFaultInjection:
         monkeypatch.setattr(verification, "sample_text", lazy)
         result = sampler_result(run_verification(oracle_limit=2, series_terms=8))
         assert not result.passed
-        assert result.detail == "n=2: star subsets left over after 4 draws"
+        assert result.detail == "n=1: 2 draws succeeded, not 1"
+
+    def test_sampler_off_its_tally_detected(self, monkeypatch):
+        # one draw per call, so the draw count holds, but every draw gives
+        # the left chain: at n = 2 one tree is hit 4 times and the other never
+        real = verification.sample_text
+
+        def chain(n, state):
+            real(n, state)
+            return "[" * n + "|]" * n
+
+        monkeypatch.setattr(verification, "sample_text", chain)
+        result = sampler_result(run_verification(oracle_limit=2, series_terms=8))
+        assert result == ("sampler-exact", False, "n=2: 2 tree(s) off their count of 2")
+
+    def test_sampler_ignoring_its_stream_detected(self, monkeypatch):
+        # each tree n times in n t_n draws, but none drawn from the stream:
+        # the draw after the last subset must fail, and here it succeeds
+        cycles = {}
+
+        def ignoring(n, state):
+            if n not in cycles:
+                cycles[n] = cycle(tree_texts(n))
+            return next(cycles[n])
+
+        monkeypatch.setattr(verification, "sample_text", ignoring)
+        result = sampler_result(run_verification(oracle_limit=2, series_terms=8))
+        assert not result.passed
+        assert result.detail.startswith("n=1: ")
 
 
 class TestValidation:
