@@ -47,6 +47,11 @@ _BLOCK_LINES = 4096
 #: --compare`` and ``param`` compute: math.comb's cost grows about
 #: quadratically, 0.6 / 2.4 / 5.8 s at n = 1 / 2 / 3 * 10^5
 _MAX_EXACT_N = 100_000
+#: largest n ``sample`` draws: a tree costs time and memory linear in n,
+#: about 3 s and 240 MB at n = 10^6
+_MAX_SAMPLE_N = 1_000_000
+#: about where ln_approx, nearly n ln(27/4), leaves the float range
+_MAX_APPROX_N = sys.float_info.max / math.log(27 / 4)
 
 
 def _decimal_form(n: int) -> str:
@@ -104,7 +109,14 @@ def _cmd_count(n, upto, format) -> int:
 def _cmd_approx(n, compare) -> int:
     if compare:
         _check_exact(n)
-    ln_approx = stirling_log_approx(n)
+    try:
+        ln_approx = stirling_log_approx(n)
+    except OverflowError:  # n above 2^1024 does not convert to a float
+        ln_approx = math.inf
+    if ln_approx == math.inf:
+        raise ValueError(
+            f"n={n} is above about {_MAX_APPROX_N:.1e}, the largest n whose ln_approx is finite"
+        )
     print(f"n {n}")
     print(f"ln_approx {ln_approx!r}")
     print(f"approx {_decimal_form(n)}")
@@ -121,6 +133,8 @@ def _cmd_enumerate(n) -> int:
 
 
 def _cmd_sample(n, count, seed) -> int:
+    if n > _MAX_SAMPLE_N:
+        raise ValueError(f"n={n} is above {_MAX_SAMPLE_N}, the largest n sampled")
     if seed is None:
         import secrets
 

@@ -20,7 +20,7 @@ with s = sin(a/3), sin a = 3s - 4s^3 gives T (1-T)^2 = (4/27) sin^2 a = z.
 from __future__ import annotations
 
 from math import asin, sin, sqrt
-from operator import mul
+from operator import add, mul
 
 from .counting import build_count_table
 
@@ -86,10 +86,7 @@ class PowerSeries:
             if not isinstance(other, int):
                 return NotImplemented
             return PowerSeries((self.coeffs[0] + other,) + self.coeffs[1:])
-        n = min(self.order, other.order)
-        return PowerSeries(
-            tuple(a + b for a, b in zip(self.coeffs[: n + 1], other.coeffs[: n + 1]))
-        )
+        return PowerSeries(map(add, self.coeffs, other.coeffs))
 
     __radd__ = __add__
 
@@ -108,33 +105,10 @@ class PowerSeries:
                 return NotImplemented
             return PowerSeries(tuple(c * other for c in self.coeffs))
         n = min(self.order, other.order)
-        a = self.coeffs
-        b = other.coeffs
-        br = b[::-1]
-        nb = len(b) - 1
-        out = []
-        for m in range(n + 1):
-            k0 = max(0, m - nb)
-            k1 = min(m, len(a) - 1)
-            out.append(sum(map(mul, a[k0 : k1 + 1], br[nb - m + k0 : nb - m + k1 + 1])))
-        return PowerSeries(out)
+        a, b = self.coeffs[: n + 1], other.coeffs[: n + 1]
+        return PowerSeries(sum(map(mul, a[: m + 1], b[m::-1])) for m in range(n + 1))
 
     __rmul__ = __mul__
-
-    def square(self) -> PowerSeries:
-        """Same as ``self * self`` but exploits symmetry of the convolution."""
-        a = self.coeffs
-        n = self.order
-        out = []
-        for m in range(n + 1):
-            acc = 0
-            for k in range(max(0, m - n), (m - 1) // 2 + 1):
-                acc += a[k] * a[m - k]
-            acc *= 2
-            if m % 2 == 0:
-                acc += a[m // 2] ** 2
-            out.append(acc)
-        return PowerSeries(out)
 
     def quasi_inverse(self) -> PowerSeries:
         """b with (1 - self) * b = 1, requiring a zero constant term.

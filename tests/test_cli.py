@@ -200,7 +200,8 @@ class TestApprox:
         assert calls == [n]
 
     def test_huge_n_does_not_overflow(self, capsys):
-        # plain approx is O(1): no bound on n, unlike --compare
+        # plain approx is O(1): bounded only where ln_approx leaves the float
+        # range, far above --compare's bound
         for n, digits in ((5000, 4000), (10**18, 8 * 10**17)):
             code, out, _ = run_cli(capsys, "approx", str(n))
             assert code == 0
@@ -209,19 +210,30 @@ class TestApprox:
             assert 1.0 <= float(mantissa) < 10.0
             assert int(exponent) > digits
 
+    def test_ln_approx_beyond_the_float_range_is_refused(self, capsys):
+        # ln_approx, nearly n ln(27/4), printed inf from about 9.4e307 and
+        # raised "int too large to convert to float" from 2^1024
+        assert run_cli(capsys, "approx", str(10**307))[0] == 0
+        for n in (10**308, 2**1024):
+            code, out, err = run_cli(capsys, "approx", str(n))
+            assert (code, out) == (1, "")
+            assert err == (
+                f"error: n={n} is above about 9.4e+307, the largest n whose ln_approx is finite\n"
+            )
+
     def test_log10_growth_is_log10_27_over_4(self):
         with localcontext() as ctx:
             ctx.prec = 360
             assert cli._LOG10_GROWTH == round((Decimal(27) / 4).log10().scaleb(330))
 
     @pytest.mark.parametrize(
-        "n", [6236, 134908511, 5 * 10**9, *(10**k for k in range(19)), 10**308, 2**1023]
+        "n", [6236, 134908511, 5 * 10**9, *(10**k for k in range(19)), 10**307, 2**1023]
     )
     def test_digits_against_a_decimal_reference(self, capsys, n):
         # log10 taken from ln_approx in float printed 7.615727e+5164 at
-        # n = 6236, an exponent off by 3 at 10**18, and overflowed at 10**308;
-        # rounding the mantissa after choosing the exponent printed
-        # 10.000000e+111880123 at n = 134908511
+        # n = 6236 and an exponent off by 3 at 10**18; rounding the mantissa
+        # after choosing the exponent printed 10.000000e+111880123 at
+        # n = 134908511
         with localcontext() as ctx:
             ctx.prec = 360
             log10 = (
@@ -302,6 +314,22 @@ class TestSample:
         code2, out2, err2 = run_cli(capsys, "sample", "3", "--seed", str(seed))
         assert (code2, out2, err2) == (0, out, "")
 
+    def test_above_the_size_bound_is_refused_before_any_work(self, capsys, monkeypatch):
+        # refused before the entropy seed is echoed and before anything is
+        # drawn: random.sample raised MemoryError at n = 10^12
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(cli, "SamplerState", refuse)
+        for n in (cli._MAX_SAMPLE_N + 1, 10**12):
+            assert run_cli(capsys, "sample", str(n)) == (
+                1, "", f"error: n={n} is above 1000000, the largest n sampled\n"
+            )
+
+    def test_the_bound_itself_is_accepted(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "sample_text", lambda n, state: "tree")
+        assert run_cli(capsys, "sample", "1000000", "--seed", "1") == (0, "tree\n", "")
+
     def test_usage_errors(self, capsys):
         assert run_cli(capsys, "sample", "3", "--count", "0")[0] == 2
         assert run_cli(capsys, "sample", "-3")[0] == 2
@@ -344,7 +372,7 @@ class TestParam:
             monkeypatch.setattr(module, "build_count_table", boom)
         for module in (cli, series):
             monkeypatch.setattr(module, "solve_tree_gf", boom)
-        for method in ("__init__", "__mul__", "square", "quasi_inverse"):
+        for method in ("__init__", "__mul__", "quasi_inverse"):
             monkeypatch.setattr(PowerSeries, method, boom)
         n = 3000
         total = {

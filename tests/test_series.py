@@ -126,10 +126,6 @@ class TestRingAxioms:
         assert (a * 3).coeffs == tuple(3 * c for c in a.coeffs)
         assert 3 * a == a * 3
 
-    @given(series)
-    def test_square_matches_product(self, a):
-        assert a.square() == a * a
-
     @given(series, series)
     def test_truncation_to_smaller_order(self, a, b):
         n = min(a.order, b.order)

@@ -2,12 +2,12 @@
 
 Covers: the suite passing on a healthy build, structured results, one
 count table, one oracle pass and one cumulative GF kernel per run, fault
-injection through a corrupted count table (both directly and through the
-CLI), through a wrong closed-form additive total, an oracle missing or
-repeating a tree and a wrong string fold, and through samplers that are
-biased, draw from the wrong slot range, skip draws or ignore their stream,
-crash containment inside checks, parameter validation, and the series
-helper of the sequence-form cumulative GF.
+injection through a wrong derivative, through a corrupted count table
+(both directly and through the CLI), through a wrong closed-form additive
+total, an oracle missing or repeating a tree and a wrong string fold, and
+through samplers that are biased, draw from the wrong slot range, skip
+draws or ignore their stream, crash containment inside checks, parameter
+validation, and the series helper of the sequence-form cumulative GF.
 """
 from __future__ import annotations
 
@@ -76,8 +76,9 @@ class TestHealthyRun:
         assert not hasattr(verification, "tree_texts")
 
     def test_one_kernel_per_check(self, monkeypatch):
-        # the series check forms C(E = T) once, and the additive check one
-        # kernel K = C(E = 1) in each form, which serves all three tolls
+        # the additive check forms one kernel K = C(E = 1) in each form, which
+        # serves all three tolls; the series check forms neither, and no
+        # quasi-inverse: it clears the denominator 1 - 3T instead
         calls = []
         for name in ("cumulative_gf", "cumulative_gf_via_sequences"):
 
@@ -88,7 +89,15 @@ class TestHealthyRun:
             monkeypatch.setattr(verification, name, counted)
         results = run_verification(oracle_limit=4, series_terms=8)
         assert all(r.passed for r in results)
-        assert sorted(calls) == ["cumulative_gf"] * 2 + ["cumulative_gf_via_sequences"]
+        assert sorted(calls) == ["cumulative_gf", "cumulative_gf_via_sequences"]
+
+        def refuse(self):
+            raise AssertionError("the series check formed a quasi-inverse")
+
+        monkeypatch.setattr(series.PowerSeries, "quasi_inverse", refuse)
+        calls.clear()
+        assert verification._check_series(build_count_table(8).t)[0]
+        assert calls == []
 
 
 class TestFaultInjection:
@@ -124,6 +133,26 @@ class TestFaultInjection:
         # the two kernel forms agree only when T solves its equation
         assert by_name["additive-agreement"].detail == "the two GF forms differ"
         assert by_name["sampler-exact"].passed
+
+    def test_wrong_derivative_detected(self, monkeypatch):
+        # T itself is right, so the residual holds and only the derivative
+        # identity can fail; a corrupted table cannot reach this branch, as
+        # the derivative identity follows once the residual holds to order N
+        real = verification.z_times_derivative
+
+        def shifted(a):
+            c = list(real(a).coeffs)
+            c[3] += 1
+            return series.PowerSeries(c)
+
+        healthy = {r.name: r for r in run_verification(oracle_limit=4, series_terms=8)}
+        assert healthy["series-identity"].passed
+        monkeypatch.setattr(verification, "z_times_derivative", shifted)
+        by_name = {r.name: r for r in run_verification(oracle_limit=4, series_terms=8)}
+        assert (by_name["series-identity"].passed, by_name["series-identity"].detail) == (
+            False, "zT' != T(1-T)/(1-3T)"
+        )
+        assert by_name["additive-agreement"].passed
 
     def test_non_integer_table_fails_checks_not_the_suite(self):
         table = build_count_table(16)
