@@ -17,17 +17,11 @@ from __future__ import annotations
 import math
 import os
 import sys
-from itertools import islice
+from itertools import chain, islice
 
 from .additive import builtin_tolls, toll_by_name
-from .counting import (
-    build_count_table,
-    count_closed_form,
-    relative_error_of,
-    stirling_log_approx,
-)
+from .counting import count_closed_form, relative_error_of, stirling_log_approx, tree_counts
 from .sampler import SamplerState, sample_text
-from .series import solve_tree_gf
 from .trees import tree_texts
 from .verification import run_verification
 
@@ -85,14 +79,12 @@ def _cmd_count(n, upto, format) -> int:
         if format == "plain":
             print(t)
             return 0
-        rows = [(n, t)]
+        rows, last = [(n, t)], n
     else:
-        table = build_count_table(upto)
-        rows = [(k, table.tree_count(k)) for k in range(1, upto + 1)]
+        rows, last = enumerate(islice(tree_counts(), upto), 1), upto
     if format == "json":
         # json.dumps(..., indent=2) a row at a time: the values are digit strings
         print("[")
-        last = rows[-1][0]
         _write_lines(
             f'  {{\n    "n": {k},\n    "value": "{t}"\n  }}{"," if k < last else ""}'
             for k, t in rows
@@ -147,7 +139,7 @@ def _cmd_sample(n, count, seed) -> int:
 
 def _cmd_series(terms) -> int:
     print("k,coefficient")
-    _write_lines(f"{k},{c}" for k, c in enumerate(solve_tree_gf(terms).coeffs))
+    _write_lines(f"{k},{c}" for k, c in enumerate(chain((0,), islice(tree_counts(), terms))))
     return 0
 
 

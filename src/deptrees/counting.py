@@ -2,9 +2,9 @@
 
 Two production routes give the same numbers:
 
-* :func:`build_count_table` fills the tables of tree counts t_n and forest
-  counts s_m from the term ratios of their closed forms, one small
-  multiply and one exact division per entry,
+* :func:`tree_counts` steps t_1, t_2, ... by the term ratio of their closed
+  form, one small multiply and one exact division per term; the CLI
+  streams it, and :func:`build_count_table` reads its tables off it,
 * :func:`count_closed_form` evaluates binom(3n-2, n-1) / n directly.
 
 The check routes live in :mod:`deptrees.verification`: the convolution
@@ -18,6 +18,7 @@ arithmetic.
 from __future__ import annotations
 
 import math
+from itertools import islice
 from operator import itemgetter
 
 _AMPLITUDE_LOG = -0.5 * math.log(27.0 * math.pi)
@@ -62,27 +63,32 @@ class CountTable(tuple):
         return self.s[m]
 
 
-def build_count_table(n_max: int) -> CountTable:
-    """Fill t_1..t_N and s_0..s_N from the term ratios of their closed forms.
-
-    t_n = binom(3n-2, n-1)/n and s_m = binom(3m, m)/(2m+1) are
-    hypergeometric, so each entry is the previous one times a rational:
+def tree_counts():
+    """t_1, t_2, ... without end, each from the last by the term ratio
 
         t_{n+1} = t_n 3(3n-1)(3n+1) / (2(n+1)(2n+1))
-        s_{m+1} = s_m 3(3m+1)(3m+2) / (2(m+1)(2m+3))
 
-    Both quotients are integers, so every floor division is exact.  O(N)
-    big-by-small products and divisions.
+    of t_n = binom(3n-2, n-1)/n.  The quotient is an integer, so the floor
+    division is exact: one big-by-small product and division per term.
+    """
+    t, n = 1, 1
+    while True:
+        yield t
+        t = t * (3 * (3 * n - 1) * (3 * n + 1)) // (2 * (n + 1) * (2 * n + 1))
+        n += 1
+
+
+def build_count_table(n_max: int) -> CountTable:
+    """t_1..t_N from :func:`tree_counts`, and s_0..s_N read off t_1..t_{N+1}.
+
+    s_m = binom(3m, m)/(2m+1) and binom(3m+1, m) = binom(3m, m)(3m+1)/(2m+1),
+    so s_m = (m+1) t_{m+1} / (3m+1), an exact division.
     """
     if n_max < 1:
         raise ValueError(f"table size must be at least 1, got {n_max}")
-    t = [0, 1]
-    s = [1]
-    for n in range(1, n_max):
-        t.append(t[n] * (3 * (3 * n - 1) * (3 * n + 1)) // (2 * (n + 1) * (2 * n + 1)))
-    for m in range(n_max):
-        s.append(s[m] * (3 * (3 * m + 1) * (3 * m + 2)) // (2 * (m + 1) * (2 * m + 3)))
-    return CountTable(tuple(t), tuple(s))
+    t = (0, *islice(tree_counts(), n_max + 1))
+    s = tuple((m + 1) * t[m + 1] // (3 * m + 1) for m in range(n_max + 1))
+    return CountTable(t[:-1], s)
 
 
 def count_closed_form(n: int) -> int:

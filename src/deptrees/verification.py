@@ -3,11 +3,12 @@
 Four checks, each pitting at least two unrelated implementations against
 each other:
 
-  count-agreement    the ratio table's t and s vs the convolution
-                     recurrences, t vs closed form and Lagrange extraction,
-                     and both vs exhaustive enumeration: t_n distinct,
-                     sorted tree strings at each n up to the oracle limit
-                     L, and s_m distinct, sorted forest strings at m < L
+  count-agreement    the ratio table's t, and the s it reads off t, vs the
+                     convolution recurrences, t vs closed form and Lagrange
+                     extraction, and both vs exhaustive enumeration: t_n
+                     distinct, sorted tree strings at each n up to the
+                     oracle limit L, and s_m distinct, sorted forest
+                     strings at m < L
   series-identity    T(1-T)^2 = z coefficientwise, and zT' = T(1-T)/(1-3T)
                      with its denominator cleared, zT' (1-3T) = T(1-T)
   additive-agreement one kernel K = (1-T)/(1-3T) vs its sequence form, to order
@@ -23,12 +24,13 @@ zT' (:func:`z_times_derivative`) and both cumulative GF forms serve no
 production path; they exist here only as check routes.  1/(1-3T) is formed
 once per run, as the additive check's kernel K.
 
-:func:`run_verification` builds one count table and one oracle pass, hands
-each check the part it reads, and names the ``(passed, detail)`` pair the
-check returns.  Used by the CLI verify subcommand; it returns structured
-results so callers decide presentation and exit codes.  A check that raises
-is reported as a failure, not propagated: the suite must survive a
-corrupted table.
+:func:`run_verification` builds one count table, the production route's,
+and one oracle pass, hands each check the part it reads, and names the
+``(passed, detail)`` pair the check returns.  Used by the CLI verify
+subcommand; it returns structured results so callers decide presentation
+and exit codes.  A check that raises is reported as a failure, not
+propagated: the suite must survive a corrupted table, which tests make by
+patching ``counting.build_count_table``.
 """
 from __future__ import annotations
 
@@ -287,17 +289,12 @@ def _guarded(name: str, check, *inputs) -> CheckResult:
         return CheckResult(name, False, f"raised {type(exc).__name__}: {exc}")
 
 
-def run_verification(
-    oracle_limit: int = 8,
-    series_terms: int = 64,
-    table: counting.CountTable | None = None,
-) -> list[CheckResult]:
+def run_verification(oracle_limit: int = 8, series_terms: int = 64) -> list[CheckResult]:
     """Run all checks on one count table and one oracle pass.
 
-    An injected table (for tests) feeds the three table-based checks: the
-    series checks read T(z) off its terms up to ``max(series_terms,
-    oracle_limit)``, so the additive check has a GF coefficient for every
-    oracle size.
+    The table runs to ``max(series_terms, oracle_limit)``, and the series
+    checks read T(z) off all of it, so the additive check has a GF
+    coefficient for every oracle size.
     """
     if not 1 <= oracle_limit <= DEFAULT_ORACLE_LIMIT:
         raise ValueError(
@@ -309,17 +306,12 @@ def run_verification(
             f"need {MIN_SERIES_TERMS} <= series_terms <= {MAX_SERIES_TERMS} "
             f"(the check-route bound), got {series_terms}"
         )
-    n_max = max(series_terms, oracle_limit)
-    if table is None:
-        table = counting.build_count_table(n_max)
-    elif table.n_max < n_max:
-        raise ValueError(f"the injected table stops at n={table.n_max}, short of {n_max}")
+    table = counting.build_count_table(max(series_terms, oracle_limit))
     trees, forests = oracle_texts(max(oracle_limit, SAMPLER_EXACT_LIMIT))
-    t = table.t[: n_max + 1]
     to_limit = trees[: oracle_limit + 1]
     return [
         _guarded("count-agreement", _check_counts, table, to_limit, forests[:oracle_limit]),
-        _guarded("series-identity", _check_series, t),
-        _guarded("additive-agreement", _check_additive, t, to_limit),
+        _guarded("series-identity", _check_series, table.t),
+        _guarded("additive-agreement", _check_additive, table.t, to_limit),
         _guarded("sampler-exact", _check_sampler, trees[: SAMPLER_EXACT_LIMIT + 1]),
     ]

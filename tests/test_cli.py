@@ -7,10 +7,11 @@ series-terms checks of ``verify``, the up-front size bound of ``count n``,
 ``approx --compare`` and ``param``, the ``approx`` line against a
 ``Decimal`` reference up to n = 2^1023, ``param`` at large n with no table or
 series, ``param`` and ``approx --compare`` computing each big number once,
-block writes of line output, the ``python -m deptrees`` entry, the
-BrokenPipe path of ``run()``, the console-script mapping in
-``pyproject.toml``, what a cold ``import deptrees.cli`` and a cold
-request load, and a cold help and usage error.  The argv parser itself is
+block writes of line output, ``count --upto`` and ``series`` streaming with
+no table, the ``python -m deptrees`` entry, the BrokenPipe path of
+``run()``, the console-script mapping in ``pyproject.toml``, what a cold
+``import deptrees.cli`` and a cold request load, and a cold help and usage
+error.  The argv parser itself is
 tested against argparse in ``test_cli_args.py``.
 """
 from __future__ import annotations
@@ -368,10 +369,8 @@ class TestParam:
         def boom(*args, **kwargs):
             raise AssertionError("param built a table or a series")
 
-        for module in (cli, counting):
-            monkeypatch.setattr(module, "build_count_table", boom)
-        for module in (cli, series):
-            monkeypatch.setattr(module, "solve_tree_gf", boom)
+        monkeypatch.setattr(counting, "build_count_table", boom)
+        monkeypatch.setattr(series, "solve_tree_gf", boom)
         for method in ("__init__", "__mul__", "quasi_inverse"):
             monkeypatch.setattr(PowerSeries, method, boom)
         n = 3000
@@ -435,7 +434,7 @@ class TestExactBound:
             raise AssertionError("work started")
 
         for name in ("count_closed_form", "stirling_log_approx", "toll_by_name",
-                     "build_count_table"):
+                     "tree_counts"):
             monkeypatch.setattr(cli, name, refuse)
 
     @pytest.mark.parametrize("argv", [
@@ -492,6 +491,56 @@ class TestOutput:
         assert "".join(writes) == out
         assert writes[-len(blocks) :] == blocks
         assert len(writes) <= len(blocks) + 2 * header  # print writes the header and its newline
+
+    @pytest.mark.parametrize(
+        "argv,header",
+        [
+            (("count", "--upto", "10"), 0),
+            (("count", "--upto", "10", "--format", "csv"), 1),
+            (("count", "--upto", "10", "--format", "json"), 1),
+            (("series", "--terms", "10"), 1),
+        ],
+    )
+    def test_table_commands_stream(self, capsys, monkeypatch, argv, header):
+        # each block is written before the count recurrence runs more than one
+        # term past it, and no table, forest count or series is built
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a count table or a series")
+
+        for module in (cli, counting):
+            monkeypatch.setattr(module, "build_count_table", refuse, raising=False)
+        for module in (cli, series):
+            monkeypatch.setattr(module, "solve_tree_gf", refuse, raising=False)
+        monkeypatch.setattr(PowerSeries, "__init__", refuse)
+        drawn = []
+
+        def counted(real=getattr(cli, "tree_counts", None)):
+            for t in real():
+                drawn.append(t)
+                yield t
+
+        monkeypatch.setattr(cli, "tree_counts", counted, raising=False)
+        writes = []
+
+        class Recorder:
+            def write(self, text):
+                writes.append((len(drawn), text))
+                return len(text)
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(cli, "_BLOCK_LINES", 3)
+        monkeypatch.setattr(sys, "stdout", Recorder())
+        assert cli.main(list(argv)) == 0
+        assert "".join(text for _, text in writes) == out
+        assert len(drawn) == 10
+        # print writes the header and its newline, then come the 4 blocks of 3
+        for i, (n, _) in enumerate(writes[2 * header :][:4]):
+            assert n <= 3 * (i + 1) + 1, f"block {i} written after {n} counts"
 
 
 class TestDispatch:

@@ -1,9 +1,11 @@
 """Counting tests.
 
-Covers: the ratio table, the closed form and the Lagrange extraction
-against each other and against hand-checked values, table range errors,
-the asymptotic approximation (sign, decay, frozen reference points), and
-the term ratio's march toward 27/4.
+Covers: the ratio table (each table a prefix of a longer one, its forest
+counts the closed form binom(3m, m)/(2m+1) to its last entry), the closed
+form and the Lagrange extraction against each other and against
+hand-checked values, table range errors, the asymptotic approximation
+(sign, decay, frozen reference points), and the term ratio's march toward
+27/4.
 """
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from deptrees import (
+    CountTable,
     build_count_table,
     count_closed_form,
     enumerate_forests,
@@ -55,6 +58,18 @@ class TestCountTable:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             build_count_table(0)
+
+    def test_prefix_of_a_longer_table(self):
+        # s_N needs t_{N+1}: each table is the prefix of a longer one, up to
+        # and including its last entry
+        big = build_count_table(200)
+        for n in range(1, 65):
+            assert build_count_table(n) == CountTable(big.t[: n + 1], big.s[: n + 1]), n
+
+    def test_forest_counts_are_the_closed_form(self):
+        s = build_count_table(300).s
+        for m in range(301):
+            assert s[m] * (2 * m + 1) == math.comb(3 * m, m), m
 
     def test_matches_enumeration(self, table_128):
         for n in range(1, 7):

@@ -27,6 +27,12 @@ def corrupt(table: CountTable, n: int, delta: int = 1) -> CountTable:
     return CountTable(tuple(t), table.s)
 
 
+def inject(monkeypatch, change) -> None:
+    """Make the suite's count table ``change(table)``, for the table it builds."""
+    real = counting.build_count_table
+    monkeypatch.setattr(counting, "build_count_table", lambda n: change(real(n)))
+
+
 def sampler_result(results):
     (result,) = [r for r in results if r.name == "sampler-exact"]
     return result
@@ -49,11 +55,6 @@ class TestHealthyRun:
         results = run_verification(oracle_limit=8, series_terms=4)
         assert all(r.passed for r in results), results
         assert "order 8" in results[1].detail
-
-    def test_injected_table_is_used(self):
-        table = build_count_table(16)
-        results = run_verification(oracle_limit=4, series_terms=8, table=table)
-        assert all(r.passed for r in results)
 
     def test_one_table_and_one_oracle_pass(self, monkeypatch):
         calls = {"table": 0, "oracle": 0}
@@ -101,33 +102,36 @@ class TestHealthyRun:
 
 
 class TestFaultInjection:
-    def test_corrupted_count_detected(self):
-        bad = corrupt(build_count_table(16), 7)
-        results = run_verification(oracle_limit=4, series_terms=8, table=bad)
+    def test_corrupted_count_detected(self, monkeypatch):
+        inject(monkeypatch, lambda table: corrupt(table, 7))
+        results = run_verification(oracle_limit=4, series_terms=8)
         by_name = {r.name: r for r in results}
         assert not by_name["count-agreement"].passed
         assert "n=7" in by_name["count-agreement"].detail
 
-    def test_corrupted_forest_count_detected(self):
-        # s_9 lies beyond the oracle, so only the convolution route sees it
-        table = build_count_table(16)
-        s = list(table.s)
-        s[9] += 1
-        bad = CountTable(table.t, tuple(s))
-        results = run_verification(oracle_limit=4, series_terms=8, table=bad)
+    def test_corrupted_forest_count_detected(self, monkeypatch):
+        # s_8, the table's last forest count, lies beyond the oracle, so only
+        # the convolution route sees it
+        def bump_s8(table):
+            s = list(table.s)
+            s[8] += 1
+            return CountTable(table.t, tuple(s))
+
+        inject(monkeypatch, bump_s8)
+        results = run_verification(oracle_limit=4, series_terms=8)
         by_name = {r.name: r for r in results}
         assert not by_name["count-agreement"].passed
-        assert "m=9" in by_name["count-agreement"].detail
+        assert "m=8" in by_name["count-agreement"].detail
 
-    def test_corrupted_small_count_detected_by_oracle_too(self):
-        bad = corrupt(build_count_table(16), 3)
-        results = run_verification(oracle_limit=4, series_terms=8, table=bad)
+    def test_corrupted_small_count_detected_by_oracle_too(self, monkeypatch):
+        inject(monkeypatch, lambda table: corrupt(table, 3))
+        results = run_verification(oracle_limit=4, series_terms=8)
         assert not results[0].passed
 
-    def test_corrupted_count_fails_the_series_checks_too(self):
-        # T(z) is read off the injected table, up to the series order
-        bad = corrupt(build_count_table(16), 5)
-        by_name = {r.name: r for r in run_verification(oracle_limit=4, series_terms=8, table=bad)}
+    def test_corrupted_count_fails_the_series_checks_too(self, monkeypatch):
+        # T(z) is read off the suite's table, up to the series order
+        inject(monkeypatch, lambda table: corrupt(table, 5))
+        by_name = {r.name: r for r in run_verification(oracle_limit=4, series_terms=8)}
         assert not by_name["series-identity"].passed
         assert by_name["series-identity"].detail == "T(1-T)^2 = z fails beyond order 4"
         # the two kernel forms agree only when T solves its equation
@@ -154,12 +158,14 @@ class TestFaultInjection:
         )
         assert by_name["additive-agreement"].passed
 
-    def test_non_integer_table_fails_checks_not_the_suite(self):
-        table = build_count_table(16)
-        t = list(table.t)
-        t[3] = 7.0
-        bad = CountTable(tuple(t), table.s)
-        by_name = {r.name: r for r in run_verification(oracle_limit=4, series_terms=8, table=bad)}
+    def test_non_integer_table_fails_checks_not_the_suite(self, monkeypatch):
+        def float_t3(table):
+            t = list(table.t)
+            t[3] = 7.0
+            return CountTable(tuple(t), table.s)
+
+        inject(monkeypatch, float_t3)
+        by_name = {r.name: r for r in run_verification(oracle_limit=4, series_terms=8)}
         for name in ("series-identity", "additive-agreement"):
             assert not by_name[name].passed
             assert by_name[name].detail.startswith("raised TypeError")
@@ -323,16 +329,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             run_verification(oracle_limit=0)
 
-    def test_short_injected_table_is_refused(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise RuntimeError("enumeration started")
-
-        monkeypatch.setattr(verification, "oracle_texts", refuse)
-        with pytest.raises(ValueError, match="stops at n=8, short of 9"):
-            run_verification(oracle_limit=9, series_terms=8, table=build_count_table(8))
-        with pytest.raises(ValueError, match="stops at n=15, short of 16"):
-            run_verification(oracle_limit=4, series_terms=16, table=build_count_table(15))
-
     def test_series_terms_bounds(self):
         with pytest.raises(ValueError):
             run_verification(series_terms=3)
@@ -348,12 +344,7 @@ class TestCliIntegration:
         assert "FAIL" not in out
 
     def test_verify_corrupted_table_exits_one(self, capsys, monkeypatch):
-        real = build_count_table
-        monkeypatch.setattr(
-            verification.counting,
-            "build_count_table",
-            lambda n: corrupt(real(n), 5),
-        )
+        inject(monkeypatch, lambda table: corrupt(table, 5))
         code = cli.main(["verify", "--oracle-limit", "3", "--series-terms", "8"])
         captured = capsys.readouterr()
         assert code == 1
