@@ -7,9 +7,9 @@ itself a dependency tree.  The counting sequence by node count starts
 satisfies T(1-T)^2 = z.
 
 The package provides exhaustive enumeration (the oracle), big-integer
-counting by two closed-form routes, exact power-series machinery for
-the generating-function identities, asymptotics, exactly uniform random
-sampling, additive-parameter statistics, and a cross-validation suite.
+counting by two closed-form routes, asymptotics, the numeric T(z), exactly
+uniform random sampling, additive-parameter statistics, and a
+cross-validation suite that checks the GF identities in exact series.
 """
 from .additive import (
     TollSpec,
@@ -23,11 +23,11 @@ from .counting import (
     CountTable,
     build_count_table,
     count_closed_form,
+    eval_T_numeric,
     relative_error,
     stirling_log_approx,
 )
 from .sampler import SamplerState, sample_forest, sample_tree
-from .series import PowerSeries, eval_T_numeric, solve_tree_gf
 from .trees import (
     DEFAULT_ORACLE_LIMIT,
     DepTree,
@@ -54,7 +54,6 @@ __all__ = [
     "Forest",
     "OracleLimitError",
     "ParseError",
-    "PowerSeries",
     "SamplerState",
     "TollSpec",
     "build_count_table",
@@ -75,7 +74,6 @@ __all__ = [
     "serialize",
     "serialize_forest",
     "size",
-    "solve_tree_gf",
     "stirling_log_approx",
     "toll_by_name",
     "__version__",

@@ -33,10 +33,10 @@ _LOG10_GROWTH = int(
     "5112726714571614426322451053358986541012929917338813151834505668279301236494270223"
     "1138942038296662032940048706930742856066113770041301594481564238908828252371034034"
 )
-#: lines per write: one write per line costs a system call each when stdout
-#: is unbuffered (PYTHONUNBUFFERED), and one write of the whole output would
-#: hold it all in memory at once
-_BLOCK_LINES = 4096
+#: characters a block reaches before it is written: one write per line costs
+#: a system call each under PYTHONUNBUFFERED, and a line of t_n holds about
+#: 0.83 n digits, so a block bounded by lines would hold no bounded memory
+_BLOCK_CHARS = 1 << 17
 #: largest n whose exact t_n (about 0.83 n digits) ``count n``, ``approx n
 #: --compare`` and ``param`` compute: math.comb's cost grows about
 #: quadratically, 0.6 / 2.4 / 5.8 s at n = 1 / 2 / 3 * 10^5
@@ -65,11 +65,16 @@ def _check_exact(n: int) -> None:
 
 
 def _write_lines(lines) -> None:
-    """Write each string of ``lines`` and a newline, in blocks of lines."""
-    lines = iter(lines)
-    while block := list(islice(lines, _BLOCK_LINES)):
-        block.append("")
-        sys.stdout.write("\n".join(block))
+    """Write each string of ``lines`` and a newline, a block at a time: a block
+    ends on the first line that brings it to ``_BLOCK_CHARS`` characters."""
+    block, chars = [], 0
+    for line in lines:
+        block.append(line)
+        if (chars := chars + len(line) + 1) >= _BLOCK_CHARS:
+            sys.stdout.write("\n".join(block) + "\n")
+            block, chars = [], 0
+    if block:
+        sys.stdout.write("\n".join(block) + "\n")
 
 
 def _cmd_count(n, upto, format) -> int:

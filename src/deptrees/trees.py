@@ -109,20 +109,27 @@ def size(t: DepTree) -> int:
     return sum(1 for _ in iter_subtrees(t))
 
 
+_BAR, _CLOSE = object(), object()  # serialize's stack markers for "|" and "]"
+
+
 def serialize(t: DepTree) -> str:
-    """Canonical text form of ``t`` per the grammar above."""
+    """Canonical text form of ``t`` per the grammar above; a node not a DepTree is a TypeError."""
     out: list[str] = []
     stack: list = [t]
     while stack:
         item = stack.pop()
-        if isinstance(item, str):
-            out.append(item)
-            continue
-        out.append("[")
-        stack.append("]")
-        stack.extend(reversed(item.right))
-        stack.append("|")
-        stack.extend(reversed(item.left))
+        if item is _BAR:
+            out.append("|")
+        elif item is _CLOSE:
+            out.append("]")
+        elif isinstance(item, DepTree):
+            out.append("[")
+            stack.append(_CLOSE)
+            stack.extend(reversed(item.right))
+            stack.append(_BAR)
+            stack.extend(reversed(item.left))
+        else:
+            raise TypeError(f"a tree node must be a DepTree, got {type(item).__name__}")
     return "".join(out)
 
 

@@ -20,9 +20,10 @@ each other:
 The convolution recurrences of the class construction
 (:func:`convolution_table`), the Lagrange extraction of t_n
 (:func:`lagrange_coefficient`), the residual T(1-T)^2 - z, the derivative
-zT' (:func:`z_times_derivative`) and both cumulative GF forms serve no
-production path; they exist here only as check routes.  1/(1-3T) is formed
-once per run, as the additive check's kernel K.
+zT' (:func:`z_times_derivative`), both cumulative GF forms and the
+truncated series algebra they are written in (:class:`PowerSeries`) serve
+no production path; they exist here only as check routes.  1/(1-3T) is
+formed once per run, as the additive check's kernel K.
 
 :func:`run_verification` builds one count table, the production route's,
 and one oracle pass, hands each check the part it reads, and names the
@@ -35,12 +36,11 @@ patching ``counting.build_count_table``.
 from __future__ import annotations
 
 from itertools import combinations, islice
-from operator import itemgetter, mul
+from operator import add, itemgetter, mul
 
 from . import counting
 from .additive import builtin_tolls
 from .sampler import sample_text
-from .series import PowerSeries
 from .trees import DEFAULT_ORACLE_LIMIT, oracle_texts
 
 #: bounds of ``series_terms``.  The count check convolves to that order in
@@ -74,6 +74,63 @@ class CheckResult(tuple):
     def __repr__(self):
         name, passed, detail = self
         return f"{type(self).__name__}(name={name!r}, passed={passed!r}, detail={detail!r})"
+
+
+class PowerSeries:
+    """Truncated series of int coefficients, ``coeffs[k]`` = [z^k]; binary
+    operations truncate to the smaller order, and take only int scalars."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs):
+        self.coeffs = tuple(coeffs)
+        if not self.coeffs:
+            raise ValueError("a series needs at least its constant term")
+
+    @property
+    def order(self) -> int:
+        return len(self.coeffs) - 1
+
+    def __eq__(self, other):
+        return isinstance(other, PowerSeries) and self.coeffs == other.coeffs
+
+    def __add__(self, other):
+        if isinstance(other, int):
+            return PowerSeries((self.coeffs[0] + other, *self.coeffs[1:]))
+        if isinstance(other, PowerSeries):
+            return PowerSeries(map(add, self.coeffs, other.coeffs))
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return PowerSeries(-c for c in self.coeffs)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return PowerSeries(c * other for c in self.coeffs)
+        if not isinstance(other, PowerSeries):
+            return NotImplemented
+        n = min(self.order, other.order)
+        a, b = self.coeffs[: n + 1], other.coeffs[: n + 1]
+        return PowerSeries(sum(map(mul, a[: m + 1], b[m::-1])) for m in range(n + 1))
+
+    __rmul__ = __mul__
+
+    def quasi_inverse(self) -> PowerSeries:
+        """b with (1 - self) b = 1, the sequence construction; the constant term must be 0."""
+        if self.coeffs[0] != 0:
+            raise ValueError("quasi-inverse requires a zero constant term")
+        a, b = self.coeffs, [1]
+        for m in range(1, self.order + 1):
+            b.append(sum(map(mul, a[1 : m + 1], b[m - 1 :: -1])))
+        return PowerSeries(b)
 
 
 def convolution_table(n_max: int) -> counting.CountTable:
@@ -165,7 +222,7 @@ def cumulative_gf_via_sequences(E: PowerSeries, T: PowerSeries) -> PowerSeries:
 #: builtin toll name -> E(z) = sum of e(t) z^{|t|}, from T(z) at its order
 _TOLL_GFS = {
     "unit": lambda T: T,
-    "leaf": lambda T: PowerSeries.monomial(T.order, 1),
+    "leaf": lambda T: PowerSeries((0, 1, *[0] * (T.order - 1))),
     "size": z_times_derivative,
 }
 

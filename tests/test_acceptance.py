@@ -20,7 +20,7 @@ from deptrees import (
     eval_T_numeric,
     relative_error,
 )
-from deptrees.series import SINGULARITY_FLOAT
+from deptrees.counting import SINGULARITY_FLOAT
 from deptrees.trees import oracle_texts
 from deptrees.verification import _check_additive, _check_counts, _check_sampler, _check_series
 

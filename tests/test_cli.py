@@ -7,12 +7,12 @@ series-terms checks of ``verify``, the up-front size bound of ``count n``,
 ``approx --compare`` and ``param``, the ``approx`` line against a
 ``Decimal`` reference up to n = 2^1023, ``param`` at large n with no table or
 series, ``param`` and ``approx --compare`` computing each big number once,
-block writes of line output, ``count --upto`` and ``series`` streaming with
-no table, the ``python -m deptrees`` entry, the BrokenPipe path of
-``run()``, the console-script mapping in ``pyproject.toml``, what a cold
-``import deptrees.cli`` and a cold request load, and a cold help and usage
-error.  The argv parser itself is
-tested against argparse in ``test_cli_args.py``.
+block writes of line output bounded by characters, ``count --upto`` and
+``series`` streaming with no table, the ``python -m deptrees`` entry, the
+BrokenPipe path of ``run()``, the console-script mapping in
+``pyproject.toml``, what a cold ``import deptrees.cli`` and a cold request
+load, and a cold help and usage error.  The argv parser itself is tested
+against argparse in ``test_cli_args.py``.
 """
 from __future__ import annotations
 
@@ -30,14 +30,12 @@ import pytest
 import deptrees
 import deptrees.__main__
 from deptrees import (
-    PowerSeries,
     additive,
     cli,
     count_closed_form,
     counting,
     mean_parameter,
     relative_error,
-    series,
     toll_by_name,
     verification,
 )
@@ -370,9 +368,8 @@ class TestParam:
             raise AssertionError("param built a table or a series")
 
         monkeypatch.setattr(counting, "build_count_table", boom)
-        monkeypatch.setattr(series, "solve_tree_gf", boom)
         for method in ("__init__", "__mul__", "quasi_inverse"):
-            monkeypatch.setattr(PowerSeries, method, boom)
+            monkeypatch.setattr(verification.PowerSeries, method, boom)
         n = 3000
         total = {
             "unit": lambda: math.comb(3 * n - 2, n - 1),
@@ -458,6 +455,32 @@ class TestExactBound:
         assert (code, out.splitlines()[-2:]) == (0, ["exact 7", "rel_error 0.5"])
 
 
+class Recorder:
+    """A stdout that keeps each text written and ``len(drawn)`` at that moment."""
+
+    def __init__(self, drawn=()):
+        self.drawn, self.writes, self.drawn_at = drawn, [], []
+
+    def write(self, text):
+        self.writes.append(text)
+        self.drawn_at.append(len(self.drawn))
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def blocks_of(lines, bound):
+    """``lines`` joined into blocks, each cut after the line that brings it to ``bound``."""
+    blocks, block = [], ""
+    for line in lines:
+        block += line
+        if len(block) >= bound:
+            blocks.append(block)
+            block = ""
+    return blocks + [block] * bool(block)
+
+
 class TestOutput:
     @pytest.mark.parametrize(
         "argv,header",
@@ -473,24 +496,32 @@ class TestOutput:
         # one write per line is one system call each when stdout is unbuffered
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
-        writes = []
-
-        class Recorder:
-            def write(self, text):
-                writes.append(text)
-                return len(text)
-
-            def flush(self):
-                pass
-
-        monkeypatch.setattr(cli, "_BLOCK_LINES", 3)
-        monkeypatch.setattr(sys, "stdout", Recorder())
+        recorder = Recorder()
+        monkeypatch.setattr(cli, "_BLOCK_CHARS", 24)
+        monkeypatch.setattr(sys, "stdout", recorder)
         assert cli.main(list(argv)) == 0
-        lines = out.splitlines(keepends=True)[header:]
-        blocks = ["".join(lines[i : i + 3]) for i in range(0, len(lines), 3)]
+        writes = recorder.writes
+        blocks = blocks_of(out.splitlines(keepends=True)[header:], 24)
         assert "".join(writes) == out
         assert writes[-len(blocks) :] == blocks
         assert len(writes) <= len(blocks) + 2 * header  # print writes the header and its newline
+        assert len(blocks) < len(out.splitlines()) - header
+
+    def test_a_block_ends_on_the_line_that_reaches_the_bound(self, capsys, monkeypatch):
+        # a block is bounded by characters, not lines: lines of t_n, some
+        # 0.83 n digits each, make blocks of few lines
+        code, out, _ = run_cli(capsys, "count", "--upto", "40")
+        assert code == 0
+        recorder = Recorder()
+        monkeypatch.setattr(cli, "_BLOCK_CHARS", 50, raising=False)
+        monkeypatch.setattr(sys, "stdout", recorder)
+        assert cli.main(["count", "--upto", "40"]) == 0
+        writes = recorder.writes
+        assert "".join(writes) == out
+        assert len(writes) > 1
+        for text in writes[:-1]:
+            last = text.splitlines(keepends=True)[-1]
+            assert len(text) >= 50 > len(text) - len(last), text
 
     @pytest.mark.parametrize(
         "argv,header",
@@ -512,9 +543,7 @@ class TestOutput:
 
         for module in (cli, counting):
             monkeypatch.setattr(module, "build_count_table", refuse, raising=False)
-        for module in (cli, series):
-            monkeypatch.setattr(module, "solve_tree_gf", refuse, raising=False)
-        monkeypatch.setattr(PowerSeries, "__init__", refuse)
+        monkeypatch.setattr(verification.PowerSeries, "__init__", refuse)
         drawn = []
 
         def counted(real=getattr(cli, "tree_counts", None)):
@@ -523,24 +552,20 @@ class TestOutput:
                 yield t
 
         monkeypatch.setattr(cli, "tree_counts", counted, raising=False)
-        writes = []
-
-        class Recorder:
-            def write(self, text):
-                writes.append((len(drawn), text))
-                return len(text)
-
-            def flush(self):
-                pass
-
-        monkeypatch.setattr(cli, "_BLOCK_LINES", 3)
-        monkeypatch.setattr(sys, "stdout", Recorder())
+        recorder = Recorder(drawn)
+        monkeypatch.setattr(cli, "_BLOCK_CHARS", 20)
+        monkeypatch.setattr(sys, "stdout", recorder)
         assert cli.main(list(argv)) == 0
-        assert "".join(text for _, text in writes) == out
+        assert "".join(recorder.writes) == out
         assert len(drawn) == 10
-        # print writes the header and its newline, then come the 4 blocks of 3
-        for i, (n, _) in enumerate(writes[2 * header :][:4]):
-            assert n <= 3 * (i + 1) + 1, f"block {i} written after {n} counts"
+        # print writes the header and its newline; a json row takes 4 lines
+        per_row = 4 if "json" in argv else 1
+        written = list(zip(recorder.drawn_at, recorder.writes))[2 * header :]
+        assert len(written) >= 3
+        lines = 0
+        for n, text in written:
+            lines += text.count("\n")
+            assert n <= lines // per_row + 1, f"a block written after {n} counts"
 
 
 class TestDispatch:
@@ -593,13 +618,12 @@ class TestPublicApi:
     def test_all_is_pinned_and_resolves(self):
         assert sorted(deptrees.__all__) == [
             "CheckResult", "CountTable", "DEFAULT_ORACLE_LIMIT", "DepTree", "Forest",
-            "OracleLimitError", "ParseError", "PowerSeries", "SamplerState", "TollSpec",
+            "OracleLimitError", "ParseError", "SamplerState", "TollSpec",
             "__version__", "build_count_table", "builtin_tolls", "count_closed_form",
             "cumulative_by_enumeration", "enumerate_forests", "enumerate_trees",
             "eval_T_numeric", "fold_cost", "mean_parameter", "parse", "parse_forest",
             "relative_error", "run_verification", "sample_forest", "sample_tree",
-            "serialize", "serialize_forest", "size", "solve_tree_gf",
-            "stirling_log_approx", "toll_by_name",
+            "serialize", "serialize_forest", "size", "stirling_log_approx", "toll_by_name",
         ]
         for name in deptrees.__all__:
             assert getattr(deptrees, name) is not None, name

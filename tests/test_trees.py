@@ -1,11 +1,11 @@
 """Tree model tests.
 
-Covers: construction and the serialization-backed dunders, iterative
-size/subtree walks, the canonical grammar (round trips and byte-exact
-error offsets), exhaustive enumeration against the known counts, the
-string entry points against the serialized objects, the enumeration
-limit, that nothing outlives a call, and deep-chain safety (no recursion
-anywhere).
+Covers: construction and the serialization-backed dunders (which refuse a
+child that is not a tree), iterative size/subtree walks, the canonical
+grammar (round trips and byte-exact error offsets), exhaustive enumeration
+against the known counts, the string entry points against the serialized
+objects, the enumeration limit, that nothing outlives a call, and
+deep-chain safety (no recursion anywhere).
 """
 from __future__ import annotations
 
@@ -63,6 +63,18 @@ class TestDepTree:
         assert isinstance(t.left, tuple)
         assert isinstance(t.right, tuple)
         assert size(t) == 4
+
+    @pytest.mark.parametrize("left", ["[|]", ("]",), (3,)], ids=["str", "str-child", "int-child"])
+    def test_a_child_that_is_not_a_tree_is_refused(self, left):
+        # a str child must not pass for serialize's own "|" and "]" markers,
+        # or DepTree(left="[|]") would equal DepTree(left=(DepTree(),)), hash and all
+        bad = DepTree(left=left)
+        with pytest.raises(TypeError, match="must be a DepTree"):
+            serialize(bad)
+        with pytest.raises(TypeError, match="must be a DepTree"):
+            bad == DepTree(left=(LEAF,))
+        with pytest.raises(TypeError, match="must be a DepTree"):
+            hash(bad)
 
     def test_frozen(self):
         t = DepTree(left=(LEAF,))
