@@ -15,7 +15,6 @@ error) goes to an argparse parser built from the same table.
 from __future__ import annotations
 
 import math
-import os
 import sys
 from itertools import chain, islice
 
@@ -37,6 +36,10 @@ _LOG10_GROWTH = int(
 #: a system call each under PYTHONUNBUFFERED, and a line of t_n holds about
 #: 0.83 n digits, so a block bounded by lines would hold no bounded memory
 _BLOCK_CHARS = 1 << 17
+#: most lines ``_write_lines`` takes at once: a chunk is sized at the last
+#: line's width, and lines of counts grow by about 0.83 digits each, so an
+#: uncapped chunk would take all 26 M characters of ``count --upto 8000``
+_CHUNK_LINES = 256
 #: largest n whose exact t_n (about 0.83 n digits) ``count n``, ``approx n
 #: --compare`` and ``param`` compute: math.comb's cost grows about
 #: quadratically, 0.6 / 2.4 / 5.8 s at n = 1 / 2 / 3 * 10^5
@@ -67,14 +70,26 @@ def _check_exact(n: int) -> None:
 def _write_lines(lines) -> None:
     """Write each string of ``lines`` and a newline, a block at a time: a block
     ends on the first line that brings it to ``_BLOCK_CHARS`` characters."""
-    block, chars = [], 0
-    for line in lines:
-        block.append(line)
-        if (chars := chars + len(line) + 1) >= _BLOCK_CHARS:
-            sys.stdout.write("\n".join(block) + "\n")
-            block, chars = [], 0
+    lines = iter(lines)
+    block, chars, take = [], 0, 1
+    while chunk := list(islice(lines, take)):
+        text = "\n".join(chunk) + "\n"
+        start = end = 0
+        if chars + len(text) >= _BLOCK_CHARS:  # walk the lines for those that end blocks
+            for line in chunk:
+                end += len(line) + 1
+                if chars + end - start >= _BLOCK_CHARS:
+                    block.append(text[start:end])
+                    sys.stdout.write("".join(block))
+                    block, chars, start = [], 0, end
+        if start < len(text):
+            block.append(text[start:])
+            chars += len(text) - start
+        # as many lines of the last one's width as fill half the room left:
+        # a chunk is joined in C and seldom reaches the bound
+        take = min(_CHUNK_LINES, (_BLOCK_CHARS - chars) // (2 * len(chunk[-1]) + 2)) or 1
     if block:
-        sys.stdout.write("\n".join(block) + "\n")
+        sys.stdout.write("".join(block))
 
 
 def _cmd_count(n, upto, format) -> int:
@@ -133,9 +148,11 @@ def _cmd_sample(n, count, seed) -> int:
     if n > _MAX_SAMPLE_N:
         raise ValueError(f"n={n} is above {_MAX_SAMPLE_N}, the largest n sampled")
     if seed is None:
-        import secrets
+        # os.urandom is the source of secrets.randbits, which imports re,
+        # hashlib, hmac and base64 besides
+        import os
 
-        seed = secrets.randbits(64)
+        seed = int.from_bytes(os.urandom(8), "big")
         print(f"seed {seed}", file=sys.stderr)
     state = SamplerState(seed)
     _write_lines(sample_text(n, state) for _ in range(count))
@@ -378,6 +395,8 @@ def run() -> None:
     except BrokenPipeError:
         # Downstream closed the pipe (e.g. `deptrees enumerate 8 | head`).
         # Point stdout at devnull so the interpreter's final flush stays quiet.
+        import os
+
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         sys.exit(1)

@@ -22,13 +22,33 @@ probability (m+1)/(3m+1) >= 1/3.
 The pseudo-random stream is the stdlib Mersenne Twister
 (:class:`random.Random`).  Reproducibility is per build: the same seed
 gives the same samples on the same Python version.
+
+Importing ``random`` (with the ``os``, ``bisect``, ``warnings`` and
+``_sha512`` it pulls in) would be about half of a cold ``import
+deptrees.cli``, and only a draw uses it.  So the module attribute
+``random`` is a stand-in module whose attributes are those of the real
+one, which its first lookup, in :class:`SamplerState`, imports.  It is a
+module object, as an import would bind, so code that replaces
+``sampler.random`` after the import (the benchmark's tracer swaps in a
+``Random`` that counts the bits drawn) still reaches every draw.
 """
 from __future__ import annotations
 
-import random
+import sys
 from itertools import accumulate
 
 from .trees import DepTree, Forest, parse, parse_forest
+
+
+class _Deferred(type(sys)):
+    """A module whose attributes are those of the module of its name,
+    imported at the first lookup."""
+
+    def __getattr__(self, attr: str):
+        return getattr(__import__(self.__name__), attr)
+
+
+random = _Deferred("random")
 
 
 class SamplerState:

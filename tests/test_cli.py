@@ -1,18 +1,19 @@
 """CLI tests.
 
 Covers: golden-file byte matches, every output format, seed handling
-(reproducibility, entropy fallback to stderr), the exit-code contract
-(0 success, 1 domain failure, 2 usage), the up-front oracle-limit and
+(reproducibility, entropy fallback to stderr), the exit-code contract (0
+success, 1 domain failure, 2 usage), the up-front oracle-limit and
 series-terms checks of ``verify``, the up-front size bound of ``count n``,
 ``approx --compare`` and ``param``, the ``approx`` line against a
-``Decimal`` reference up to n = 2^1023, ``param`` at large n with no table or
-series, ``param`` and ``approx --compare`` computing each big number once,
-block writes of line output bounded by characters, ``count --upto`` and
-``series`` streaming with no table, the ``python -m deptrees`` entry, the
-BrokenPipe path of ``run()``, the console-script mapping in
-``pyproject.toml``, what a cold ``import deptrees.cli`` and a cold request
-load, and a cold help and usage error.  The argv parser itself is tested
-against argparse in ``test_cli_args.py``.
+``Decimal`` reference up to n = 2^1023, ``param`` at large n with no table
+or series, ``param`` and ``approx --compare`` computing each big number
+once, block writes of line output bounded by characters and taken in capped
+chunks, ``count --upto`` and ``series`` streaming with no table, the
+``python -m deptrees`` entry, the BrokenPipe path of ``run()`` under
+``python -m`` and bare, the console-script mapping in ``pyproject.toml``,
+what a cold ``import deptrees.cli`` and a cold request load, the seed of a
+cold seedless ``sample``, and a cold help and usage error.  The argv parser
+itself is tested against argparse in ``test_cli_args.py``.
 """
 from __future__ import annotations
 
@@ -50,6 +51,17 @@ IMPORT_ROOT = str(Path(deptrees.__file__).resolve().parent.parent)
 
 def golden(name: str) -> str:
     return (GOLDEN / name).read_text()
+
+
+#: a cold request as the benchmark makes it
+RUN = "from deptrees.cli import run; run()"
+#: the same, printing the loaded module names as the last line of stderr
+RUN_REPORTING_MODULES = (
+    "import atexit, sys\n"
+    "atexit.register(lambda: print(*sorted(sys.modules), file=sys.stderr))\n"
+    "from deptrees.cli import run\n"
+    "run()\n"
+)
 
 
 def module_command(*argv: str) -> list[str]:
@@ -567,6 +579,40 @@ class TestOutput:
             lines += text.count("\n")
             assert n <= lines // per_row + 1, f"a block written after {n} counts"
 
+    def test_a_chunk_that_reaches_the_bound_is_cut_at_each_block_end(self, monkeypatch):
+        # short lines size the next chunk, so longer lines after them end one
+        # block, or two, inside a chunk
+        lines = ["a" * 3] * 20 + ["b" * 30] * 10 + ["c"] * 5 + ["d" * 120] * 2
+        recorder = Recorder()
+        monkeypatch.setattr(cli, "_BLOCK_CHARS", 50)
+        monkeypatch.setattr(sys, "stdout", recorder)
+        cli._write_lines(iter(lines))
+        assert recorder.writes == blocks_of([line + "\n" for line in lines], 50)
+
+    def test_a_chunk_of_growing_lines_is_capped(self, capsys, monkeypatch):
+        # a chunk is sized at the last line's width, and a line of t_n grows
+        # with n: uncapped, the first chunk took all 2000 counts, where the
+        # first block ends near count 560
+        code, out, _ = run_cli(capsys, "count", "--upto", "2000")
+        assert code == 0
+        drawn = []
+
+        def counted(real=cli.tree_counts):
+            for t in real():
+                drawn.append(t)
+                yield t
+
+        monkeypatch.setattr(cli, "tree_counts", counted)
+        recorder = Recorder(drawn)
+        monkeypatch.setattr(sys, "stdout", recorder)
+        assert cli.main(["count", "--upto", "2000"]) == 0
+        assert "".join(recorder.writes) == out
+        assert len(recorder.writes) > 2
+        lines = 0
+        for n, text in zip(recorder.drawn_at, recorder.writes):
+            lines += text.count("\n")
+            assert n <= lines + cli._CHUNK_LINES, f"a block written after {n} counts"
+
 
 class TestDispatch:
     def test_no_subcommand(self, capsys):
@@ -597,21 +643,30 @@ class TestDispatch:
         assert proc.stdout == "7\n"
 
     def test_broken_pipe_is_quiet(self):
-        # 21318 lines overflow the pipe buffer once the reader goes away.
-        with subprocess.Popen(
-            module_command("enumerate", "8"),
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            text=True,
-            env=child_env(),
-        ) as proc:
-            first = proc.stdout.readline()
-            proc.stdout.close()
-            stderr = proc.stderr.read()
-            code = proc.wait(timeout=60)
-        assert code == 1
-        assert first == "[[[[[[[[|]|]|]|]|]|]|]|]\n"
-        assert "Traceback" not in stderr
+        assert_quiet_on_broken_pipe(module_command("enumerate", "8"))
+
+    def test_broken_pipe_is_quiet_through_a_bare_run(self):
+        # as the benchmark calls it: no runpy, so nothing has loaded the os
+        # that the broken-pipe branch uses
+        assert_quiet_on_broken_pipe([sys.executable, "-S", "-c", RUN, "enumerate", "8"])
+
+
+def assert_quiet_on_broken_pipe(command: list[str]) -> None:
+    # 21318 lines overflow the pipe buffer once the reader goes away.
+    with subprocess.Popen(
+        command,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=child_env(),
+    ) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert code == 1
+    assert first == "[[[[[[[[|]|]|]|]|]|]|]|]\n"
+    assert "Traceback" not in stderr
 
 
 class TestPublicApi:
@@ -655,10 +710,13 @@ class TestStartup:
         )
         assert proc.returncode == 0, proc.stderr
         loaded = set(proc.stdout.split())
+        # random (with bisect, warnings and _sha512) and os would be half the
+        # import; only a draw loads random, and only the branches that use it os
         assert loaded.isdisjoint(
-            {"dataclasses", "typing", "inspect", "secrets", "json", "collections"}
+            {"dataclasses", "typing", "inspect", "secrets", "json", "collections",
+             "random", "os"}
         )
-        assert layers() and layers() | {"random"} <= loaded
+        assert layers() and layers() <= loaded
 
     @pytest.mark.parametrize(
         "argv",
@@ -678,14 +736,8 @@ class TestStartup:
         # re (with enum) was a third of a request's start-up: argparse and
         # fractions each imported it, so neither may be on a request's path.
         # collections was built into three namedtuples and a Counter only.
-        code = (
-            "import atexit, sys\n"
-            "atexit.register(lambda: print(*sorted(sys.modules), file=sys.stderr))\n"
-            "from deptrees.cli import run\n"
-            "run()\n"
-        )
         proc = subprocess.run(
-            [sys.executable, "-S", "-c", code, *argv],
+            [sys.executable, "-S", "-c", RUN_REPORTING_MODULES, *argv],
             capture_output=True,
             text=True,
             timeout=60,
@@ -698,6 +750,27 @@ class TestStartup:
                  "fractions", "decimal", "numbers", "collections"}
         assert heavy.isdisjoint(loaded), heavy & loaded
         assert layers() <= loaded
+        # random is loaded by the first draw, and only by a draw
+        assert ("random" in loaded) == (argv[0] == "sample")
+
+    def test_cold_seedless_sample_seeds_from_urandom(self, capsys):
+        # secrets.randbits(64) reads the same os.urandom, but secrets imports
+        # re, hashlib, hmac and base64 besides
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", RUN_REPORTING_MODULES, "sample", "5"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        echo, modules = proc.stderr.splitlines()
+        loaded = set(modules.split())
+        assert loaded.isdisjoint({"secrets", "re", "hashlib", "hmac"})
+        assert {"random", "os"} <= loaded
+        word, seed = echo.split()
+        assert word == "seed" and 0 <= int(seed) < 2**64
+        assert run_cli(capsys, "sample", "5", "--seed", seed) == (0, proc.stdout, "")
 
     @pytest.mark.parametrize(
         "argv, code", [(("--help",), 0), (("sample", "-h"), 0), (("count", "0"), 2)]
@@ -705,7 +778,7 @@ class TestStartup:
     def test_cold_help_and_usage_error_go_through_argparse(self, argv, code):
         # off the plain shape the argparse parser built from COMMANDS answers
         proc = subprocess.run(
-            [sys.executable, "-S", "-c", "from deptrees.cli import run; run()", *argv],
+            [sys.executable, "-S", "-c", RUN, *argv],
             capture_output=True,
             text=True,
             timeout=60,

@@ -6,10 +6,14 @@ a tree, so for small sizes every subset is replayed through that map and
 the hits are counted per tree.  Uniformity then reads "each tree of size
 n is hit exactly n times" (each forest of size m exactly m+1 times among
 the accepted subsets), with no statistics involved.  A chi-square smoke
-test, determinism checks, depth safety and range checks round it out.
+test, determinism checks, depth safety and range checks round it out,
+with the contract that a ``random`` module put on the sampler after the
+import serves every draw.
 """
 from __future__ import annotations
 
+import random
+import types
 from collections import Counter
 from itertools import combinations
 
@@ -25,6 +29,7 @@ from deptrees import (
     serialize_forest,
     size,
 )
+from deptrees import sampler
 from deptrees.sampler import _tree_from_stars, sample_text
 
 # alpha = 0.001 critical value for 6 degrees of freedom (the 7 shapes of
@@ -118,6 +123,33 @@ class TestDeterminism:
 
     def test_seed_recorded(self):
         assert SamplerState(99).seed == 99
+
+
+class TestRandomModule:
+    def test_a_random_module_put_on_the_sampler_serves_every_draw(self, monkeypatch):
+        # the benchmark's tracer counts the bits drawn by replacing
+        # sampler.random, when it is a module, with one whose Random counts
+        assert isinstance(sampler.random, types.ModuleType)
+        assert sampler.random.Random is random.Random
+        expected = [sample_text(n, SamplerState(7)) for n in (1, 5, 300)]
+        bits = []
+
+        class CountingRandom(random.Random):
+            def getrandbits(self, k):
+                bits.append(k)
+                return super().getrandbits(k)
+
+            def random(self):
+                bits.append(53)
+                return super().random()
+
+        counting = types.ModuleType("random")
+        counting.__dict__.update(vars(random))
+        counting.Random = CountingRandom
+        monkeypatch.setattr(sampler, "random", counting)
+        assert type(SamplerState(7).rng) is CountingRandom
+        assert [sample_text(n, SamplerState(7)) for n in (1, 5, 300)] == expected
+        assert sum(bits) > 0
 
 
 class TestShapes:
