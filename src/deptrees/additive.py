@@ -24,7 +24,7 @@ against them and them against the oracle.
 from __future__ import annotations
 
 from math import comb
-from operator import itemgetter
+from _operator import itemgetter  # operator.py only re-exports _operator
 
 from .counting import count_closed_form
 from .trees import DepTree, enumerate_trees, iter_subtrees, size

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from itertools import islice
-from operator import itemgetter
+from _operator import itemgetter  # operator.py only re-exports _operator
 
 _AMPLITUDE_LOG = -0.5 * math.log(27.0 * math.pi)
 _LOG_GROWTH = math.log(6.75)

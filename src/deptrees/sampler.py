@@ -11,26 +11,37 @@ exactly n of the binom(3n-2, n-1) subsets as preimages.  A uniform
 subset therefore gives a uniform tree (Flajolet & Sedgewick, *Analytic
 Combinatorics*, I.5; Devroye, SIAM J. Comput. 2012).
 
-The cost is one ``random.sample`` of n-1 slots, a sort and a linear
-scan: no count table and no big integers.  :func:`sample_text` returns
-the canonical string the map produces; :func:`sample_tree` parses it into
-a :class:`DepTree`.  :func:`sample_forest` draws trees of size m+1 with
+The cost is n-1 bounded draws of random bits, a sort and a linear scan:
+no count table and no big integers.  :func:`sample_text` returns the
+canonical string the map produces; :func:`sample_tree` parses it into a
+:class:`DepTree`.  :func:`sample_forest` draws trees of size m+1 with
 :func:`sample_text` until the root has no right children, and returns the
 root's left forest, a uniform forest of size m; a draw is accepted with
 probability (m+1)/(3m+1) >= 1/3.
 
-The pseudo-random stream is the stdlib Mersenne Twister
-(:class:`random.Random`).  Reproducibility is per build: the same seed
-gives the same samples on the same Python version.
+The pseudo-random stream is the stdlib Mersenne Twister, the C
+``_random.Random`` that :class:`random.Random` extends.  Reproducibility
+is per build: the same seed gives the same samples on the same Python
+version.  :meth:`SamplerState.stars` runs the loop that
+``random.Random.sample(range(3n-2), n-1)`` runs, so it draws the same
+bits in the same order and a seed gives the trees it gave through
+``random.sample``.  A population of 3n-2 never exceeds that method's set
+threshold (21, plus 4^ceil(log4 3k) for k > 5), so it always takes the
+pool branch, a partial Fisher-Yates shuffle, whose draw below m is
+``getrandbits(m.bit_length())``, drawn again while the value is m or
+more.  ``random.Random.seed`` hands an int seed to ``_random.Random.seed``
+unchanged.
 
 Importing ``random`` (with the ``os``, ``bisect``, ``warnings`` and
-``_sha512`` it pulls in) would be about half of a cold ``import
-deptrees.cli``, and only a draw uses it.  So the module attribute
-``random`` is a stand-in module whose attributes are those of the real
-one, which its first lookup, in :class:`SamplerState`, imports.  It is a
-module object, as an import would bind, so code that replaces
-``sampler.random`` after the import (the benchmark's tracer swaps in a
-``Random`` that counts the bits drawn) still reaches every draw.
+``_sha512`` it pulls in) costs a ``sample`` request about 3-4 ms, and
+only ``_random`` is used; importing even that loads a shared library,
+which a request that draws nothing should not pay for.  So the module
+attribute ``random`` is a stand-in module whose attributes are those of
+``_random``, which its first lookup, in :class:`SamplerState`, imports.
+It is a module object, as an import would bind, so code that replaces
+``sampler.random`` after the import with one whose ``Random`` is a
+``random.Random`` subclass (the benchmark's tracer swaps in one that
+counts the bits drawn) still reaches every draw.
 """
 from __future__ import annotations
 
@@ -48,7 +59,7 @@ class _Deferred(type(sys)):
         return getattr(__import__(self.__name__), attr)
 
 
-random = _Deferred("random")
+random = _Deferred("_random")
 
 
 class SamplerState:
@@ -61,6 +72,21 @@ class SamplerState:
     def __init__(self, seed: int):
         self.seed = seed
         self.rng = random.Random(seed)
+
+    def stars(self, n: int) -> list[int]:
+        """A uniform (n-1)-subset of range(3n-2), sorted."""
+        getrandbits = self.rng.getrandbits
+        pool = list(range(3 * n - 2))
+        stars = []
+        for m in range(3 * n - 2, 2 * n - 1, -1):
+            bits = m.bit_length()
+            j = getrandbits(bits)
+            while j >= m:
+                j = getrandbits(bits)
+            stars.append(pool[j])
+            pool[j] = pool[m - 1]  # the last of the pool's m slots fills the gap
+        stars.sort()
+        return stars
 
 
 def _tree_from_stars(n: int, stars) -> str:
@@ -94,7 +120,7 @@ def sample_text(n: int, state: SamplerState) -> str:
     """The canonical string of one uniform tree of size exactly n >= 1."""
     if n < 1:
         raise ValueError(f"tree size must be at least 1, got {n}")
-    return _tree_from_stars(n, sorted(state.rng.sample(range(3 * n - 2), n - 1)))
+    return _tree_from_stars(n, state.stars(n))
 
 
 def sample_tree(n: int, state: SamplerState) -> DepTree:

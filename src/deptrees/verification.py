@@ -36,7 +36,7 @@ patching ``counting.build_count_table``.
 from __future__ import annotations
 
 from itertools import combinations, islice
-from operator import add, itemgetter, mul
+from _operator import add, itemgetter, mul  # operator.py only re-exports _operator
 
 from . import counting
 from .additive import builtin_tolls
@@ -299,17 +299,13 @@ def _check_additive(t: tuple, trees: list) -> tuple[bool, str]:
 
 class _EverySubset:
     """Stands in for a :class:`~deptrees.sampler.SamplerState`: its
-    ``rng.sample(population, k)`` returns each k-subset of the population
-    of its first call once, in turn, then raises StopIteration."""
+    ``stars(n)`` returns each (n-1)-subset of range(3n-2), for the n of its
+    first call, once, in turn, then raises StopIteration."""
 
     subsets = None
 
-    @property
-    def rng(self):
-        return self
-
-    def sample(self, population, k):
-        self.subsets = self.subsets or combinations(population, k)
+    def stars(self, n):
+        self.subsets = self.subsets or combinations(range(3 * n - 2), n - 1)
         return next(self.subsets)
 
 

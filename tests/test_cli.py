@@ -327,7 +327,8 @@ class TestSample:
 
     def test_above_the_size_bound_is_refused_before_any_work(self, capsys, monkeypatch):
         # refused before the entropy seed is echoed and before anything is
-        # drawn: random.sample raised MemoryError at n = 10^12
+        # drawn: the pool of 3n-2 slots that a draw builds does not fit in
+        # memory at n = 10^12
         def refuse(*args, **kwargs):
             raise AssertionError("work started")
 
@@ -711,10 +712,10 @@ class TestStartup:
         assert proc.returncode == 0, proc.stderr
         loaded = set(proc.stdout.split())
         # random (with bisect, warnings and _sha512) and os would be half the
-        # import; only a draw loads random, and only the branches that use it os
+        # import; a draw loads only _random, and only the branches that use it os
         assert loaded.isdisjoint(
             {"dataclasses", "typing", "inspect", "secrets", "json", "collections",
-             "random", "os"}
+             "random", "_random", "os", "operator"}
         )
         assert layers() and layers() <= loaded
 
@@ -730,12 +731,15 @@ class TestStartup:
             ("count", "--upto", "5", "--format", "json"),
             ("enumerate", "4"),
             ("approx", "50", "--compare"),
+            ("sample", "30", "--seed", "1"),
         ],
     )
     def test_cold_request_loads_no_re_argparse_or_fractions(self, argv):
         # re (with enum) was a third of a request's start-up: argparse and
         # fractions each imported it, so neither may be on a request's path.
-        # collections was built into three namedtuples and a Counter only.
+        # collections was built into three namedtuples and a Counter only,
+        # and operator only re-exports the built-in _operator.  A seeded
+        # sample draws from _random alone, and only a seedless one needs os.
         proc = subprocess.run(
             [sys.executable, "-S", "-c", RUN_REPORTING_MODULES, *argv],
             capture_output=True,
@@ -747,11 +751,12 @@ class TestStartup:
         assert proc.stdout
         loaded = set(proc.stderr.split())
         heavy = {"re", "enum", "argparse", "gettext", "locale", "shutil",
-                 "fractions", "decimal", "numbers", "collections"}
+                 "fractions", "decimal", "numbers", "collections", "operator",
+                 "random", "os"}
         assert heavy.isdisjoint(loaded), heavy & loaded
         assert layers() <= loaded
-        # random is loaded by the first draw, and only by a draw
-        assert ("random" in loaded) == (argv[0] == "sample")
+        # the first draw loads _random (a shared library), and only a draw does
+        assert ("_random" in loaded) == (argv[0] == "sample")
 
     def test_cold_seedless_sample_seeds_from_urandom(self, capsys):
         # secrets.randbits(64) reads the same os.urandom, but secrets imports
@@ -766,8 +771,8 @@ class TestStartup:
         assert proc.returncode == 0, proc.stderr
         echo, modules = proc.stderr.splitlines()
         loaded = set(modules.split())
-        assert loaded.isdisjoint({"secrets", "re", "hashlib", "hmac"})
-        assert {"random", "os"} <= loaded
+        assert loaded.isdisjoint({"secrets", "re", "hashlib", "hmac", "random"})
+        assert {"_random", "os"} <= loaded
         word, seed = echo.split()
         assert word == "seed" and 0 <= int(seed) < 2**64
         assert run_cli(capsys, "sample", "5", "--seed", seed) == (0, proc.stdout, "")

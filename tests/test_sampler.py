@@ -12,6 +12,7 @@ import serves every draw.
 """
 from __future__ import annotations
 
+import _random
 import random
 import types
 from collections import Counter
@@ -128,9 +129,10 @@ class TestDeterminism:
 class TestRandomModule:
     def test_a_random_module_put_on_the_sampler_serves_every_draw(self, monkeypatch):
         # the benchmark's tracer counts the bits drawn by replacing
-        # sampler.random, when it is a module, with one whose Random counts
+        # sampler.random, when it is a module, with one whose Random is a
+        # counting random.Random subclass
         assert isinstance(sampler.random, types.ModuleType)
-        assert sampler.random.Random is random.Random
+        assert sampler.random.Random is _random.Random
         expected = [sample_text(n, SamplerState(7)) for n in (1, 5, 300)]
         bits = []
 
@@ -150,6 +152,19 @@ class TestRandomModule:
         assert type(SamplerState(7).rng) is CountingRandom
         assert [sample_text(n, SamplerState(7)) for n in (1, 5, 300)] == expected
         assert sum(bits) > 0
+
+    @pytest.mark.parametrize(
+        "seed", [0, 1, 7, -5, -(2**70), 2**64 - 1, 2**64, 12345678901234567890]
+    )
+    @pytest.mark.parametrize("n", [1, 2, 6, 7, 40, 700])
+    def test_stars_are_random_sample_bit_for_bit(self, seed, n):
+        # stars runs random.sample's pool loop on the same bits, so a seed
+        # gives the trees it gave through random.sample, and leaves the
+        # stream where random.sample left it
+        state = SamplerState(seed)
+        reference = random.Random(seed)
+        assert state.stars(n) == sorted(reference.sample(range(3 * n - 2), n - 1))
+        assert state.rng.getrandbits(64) == reference.getrandbits(64)
 
 
 class TestShapes:

@@ -11,13 +11,12 @@ validation, and the series helper of the sequence-form cumulative GF.
 """
 from __future__ import annotations
 
-from itertools import cycle
+from itertools import combinations, cycle
 
 import pytest
 
 from deptrees import CheckResult, CountTable, TollSpec, build_count_table, run_verification
 from deptrees import cli, counting, verification
-from deptrees.sampler import _tree_from_stars
 from deptrees.trees import tree_texts
 
 
@@ -268,10 +267,11 @@ class TestFaultInjection:
         # n-1 stars among 3n-3 slots: one slot short, so only
         # binom(3n-3, n-1) < n t_n subsets exist; a failed check naming n,
         # not a crash
-        def narrow(n, state):
-            return _tree_from_stars(n, sorted(state.rng.sample(range(3 * n - 3), n - 1)))
+        def narrow(self, n):
+            self.subsets = self.subsets or combinations(range(3 * n - 3), n - 1)
+            return next(self.subsets)
 
-        monkeypatch.setattr(verification, "sample_text", narrow)
+        monkeypatch.setattr(verification._EverySubset, "stars", narrow)
         result = sampler_result(run_verification(oracle_limit=2, series_terms=8))
         assert not result.passed
         assert "n=2" in result.detail
