@@ -69,22 +69,15 @@ def _check_exact(n: int) -> None:
 
 def _write_lines(lines) -> None:
     """Write each string of ``lines`` and a newline, a block at a time: a block
-    ends on the first line that brings it to ``_BLOCK_CHARS`` characters."""
+    is written once it holds ``_BLOCK_CHARS`` characters."""
     lines = iter(lines)
     block, chars, take = [], 0, 1
     while chunk := list(islice(lines, take)):
-        text = "\n".join(chunk) + "\n"
-        start = end = 0
-        if chars + len(text) >= _BLOCK_CHARS:  # walk the lines for those that end blocks
-            for line in chunk:
-                end += len(line) + 1
-                if chars + end - start >= _BLOCK_CHARS:
-                    block.append(text[start:end])
-                    sys.stdout.write("".join(block))
-                    block, chars, start = [], 0, end
-        if start < len(text):
-            block.append(text[start:])
-            chars += len(text) - start
+        block.append("\n".join(chunk) + "\n")
+        chars += len(block[-1])
+        if chars >= _BLOCK_CHARS:
+            sys.stdout.write("".join(block))
+            block, chars = [], 0
         # as many lines of the last one's width as fill half the room left:
         # a chunk is joined in C and seldom reaches the bound
         take = min(_CHUNK_LINES, (_BLOCK_CHARS - chars) // (2 * len(chunk[-1]) + 2)) or 1
@@ -166,7 +159,7 @@ def _cmd_series(terms) -> int:
 
 
 def _cmd_param(n, toll) -> int:
-    # the mean in lowest terms without a Fraction: each big number once
+    # the mean in lowest terms without a Fraction: the total and t_n once each
     _check_exact(n)
     total = toll_by_name(toll).total(n)
     t = count_closed_form(n)

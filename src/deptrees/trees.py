@@ -15,15 +15,12 @@ explicit stacks, so chains thousands of nodes deep are safe.
 
 Exhaustive enumeration is capped at ``DEFAULT_ORACLE_LIMIT`` = 10, where
 there are already 690690 trees; it exists as ground truth for the
-formula-based modules, not as a production path.  It builds canonical
-strings directly and objects only where asked (:func:`enumerate_trees`,
-:func:`enumerate_forests`).  :func:`oracle_texts` returns the whole string
-pass to size n: the trees of sizes 1..n and the forests of sizes 0..n-1
-they are made from; :func:`tree_texts` is its size-n tree list.  Nothing
-is cached between calls; each call rebuilds every smaller size.  Per call
-on a 2-vCPU VM (tracemalloc peak), ``tree_texts`` took 0.013 / 0.056 / 0.38 s
-(2.5 / 14 / 85 MiB) at n = 8 / 9 / 10, and ``enumerate_trees`` 0.05 / 0.33 /
-2.5 s (7 / 40 / 232 MiB).
+formula-based modules, not as a production path.  :func:`tree_texts` walks
+the grammar, yielding the strings in sorted order without holding them;
+objects are built afresh on each call, and only where asked.  Per call on a
+2-vCPU VM (tracemalloc peak), exhausting ``tree_texts`` took 0.009 / 0.039 /
+0.18 s (0.3 / 0.7 / 1.7 MiB) at n = 8 / 9 / 10, and ``enumerate_trees``
+0.06 / 0.42 / 3.2 s (6 / 35 / 206 MiB).
 """
 from __future__ import annotations
 
@@ -193,74 +190,69 @@ def parse_forest(s: str) -> Forest:
 
 # ── exhaustive enumeration (the oracle) ─────────────────────────────────────
 #
-# A size-n tree decomposes uniquely into a left forest of size i and a right
-# forest of size j with i + j = n - 1; a nonempty forest decomposes uniquely
-# by the size of its first tree.  Cross products over those decompositions
-# therefore enumerate without duplicates.  The same products build canonical
-# strings ("[" + left + "|" + right + "]", first tree + rest) or objects paired
-# with their strings; either way a plain sort puts each size in canonical order.
+# The strings come from a depth-first walk of the grammar: a prefix leaves
+# pending closers and r nodes to place, and the next byte is "[" (pushing
+# "|]") or the top closer, never the root's "]" while r > 0.  "[" < "]" < "|",
+# so trying "[" first yields each string once, in sorted order.  Objects come
+# from cross products over the unique splits of a tree into its left and right
+# forests and of a forest by its first tree; a sort puts each size in order.
 
 
-def _text_tree(left: str, right: str) -> str:
-    return "[" + left + "|" + right + "]"
+def _walk(prefix: str, closers: str, r: int, tails: dict | None):
+    """Every completion of ``prefix``, with ``closers`` pending and ``r`` nodes
+    to place, in order; a ``tails`` dict memoises those of the last two nodes."""
+    stack = [(prefix, closers, r)]
+    while stack:
+        prefix, closers, r = stack.pop()
+        if not r:
+            yield prefix + closers
+        elif r <= 2 and tails is not None:
+            if (closers, r) not in tails:
+                tails[closers, r] = list(_walk("", closers, r, None))
+            yield from map(prefix.__add__, tails[closers, r])
+        else:
+            if len(closers) > 1:
+                stack.append((prefix + closers[0], closers[1:], r))
+            stack.append((prefix + "[", "|]" + closers, r - 1))
 
 
-def _object_tree(left: tuple, right: tuple) -> tuple[str, DepTree]:
-    return "[" + left[0] + "|" + right[0] + "]", DepTree(left[1], right[1])
-
-
-def _object_join(first: tuple, rest: tuple) -> tuple[str, Forest]:
-    return first[0] + rest[0], (first[1],) + rest[1]
-
-
-_TEXTS = (_text_tree, str.__add__, "")
-_OBJECTS = (_object_tree, _object_join, ("", ()))
-
-
-def _forests_of(m: int, trees: list, forests: list, kind) -> list:
-    """Sorted forests of size m from the trees of sizes 1..m and the forests
-    of sizes 0..m-1."""
-    _, join, empty = kind
+def _forests_of(m: int, trees: list, forests: list) -> list:
+    """Sorted (string, forest) pairs of size m from the trees of sizes 1..m
+    and the forests of sizes 0..m-1."""
     if m == 0:
-        return [empty]
+        return [("", ())]
     return sorted(
-        join(first, rest) for k in range(1, m + 1) for first in trees[k] for rest in forests[m - k]
+        (first + rest, (tree,) + forest)
+        for k in range(1, m + 1) for first, tree in trees[k] for rest, forest in forests[m - k]
     )
 
 
-def _oracle(n: int, kind) -> tuple[list, list]:
-    """Sorted lists of the trees of sizes 1..n (``trees[k]``) and of the
-    forests of sizes 0..n-1 (``forests[m]``), built fresh on every call."""
-    tree = kind[0]
+def _oracle(n: int) -> tuple[list, list]:
+    """Sorted (string, object) pairs of the trees of sizes 1..n (``trees[k]``)
+    and of the forests of sizes 0..n-1 (``forests[m]``)."""
     trees: list = [None]
     forests: list = []
     for k in range(n):
-        forests.append(_forests_of(k, trees, forests, kind))
+        forests.append(_forests_of(k, trees, forests))
         trees.append(sorted(
-            tree(left, right) for i in range(k + 1) for left in forests[i] for right in forests[k - i]
+            ("[" + left + "|" + right + "]", DepTree(lefts, rights))
+            for i in range(k + 1) for left, lefts in forests[i] for right, rights in forests[k - i]
         ))
     return trees, forests
 
 
-def _check_size(n: int, kind: str = "tree", least: int = 1) -> None:
+def _check_size(n: int, what: str = "tree", least: int = 1) -> None:
     if n < least:
-        raise ValueError(f"{kind} size must be at least {least}, got {n}")
+        raise ValueError(f"{what} size must be at least {least}, got {n}")
     if n > DEFAULT_ORACLE_LIMIT:
         raise OracleLimitError(n, DEFAULT_ORACLE_LIMIT)
 
 
-def oracle_texts(n: int) -> tuple[list, list[list[str]]]:
-    """Sorted canonical strings of the trees of every size 1..n (``trees[k]``)
-    and of the forests of every size 0..n-1 (``forests[m]``, concatenated)
-    that the size-n trees are built from, all from one pass.  Refuses
-    ``n > DEFAULT_ORACLE_LIMIT`` as :func:`enumerate_trees` does."""
+def tree_texts(n: int):
+    """An iterator over the canonical string of every tree of size ``n``, in
+    sorted order.  Refuses ``n`` as :func:`enumerate_trees` does, when called."""
     _check_size(n)
-    return _oracle(n, _TEXTS)
-
-
-def tree_texts(n: int) -> list[str]:
-    """The canonical string of every tree of size ``n``, in sorted order."""
-    return oracle_texts(n)[0][n]
+    return _walk("[", "|]", n - 1, {})
 
 
 def enumerate_trees(n: int) -> list[DepTree]:
@@ -270,10 +262,10 @@ def enumerate_trees(n: int) -> list[DepTree]:
     unbounded enumeration is never what you want by accident.
     """
     _check_size(n)
-    return [tree for _, tree in _oracle(n, _OBJECTS)[0][n]]
+    return [tree for _, tree in _oracle(n)[0][n]]
 
 
 def enumerate_forests(m: int) -> list[Forest]:
     """Every forest of total size ``m``, sorted by concatenated serialization."""
     _check_size(m, "forest", 0)
-    return [forest for _, forest in _forests_of(m, *_oracle(m, _OBJECTS), _OBJECTS)]
+    return [forest for _, forest in _forests_of(m, *_oracle(m))]

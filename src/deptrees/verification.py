@@ -7,8 +7,7 @@ each other:
                      convolution recurrences, t vs closed form and Lagrange
                      extraction, and both vs exhaustive enumeration: t_n
                      distinct, sorted tree strings at each n up to the
-                     oracle limit L, and s_m distinct, sorted forest
-                     strings at m < L
+                     oracle limit L, s_{n-1} of which end in "|]"
   series-identity    T(1-T)^2 = z coefficientwise, and zT' = T(1-T)/(1-3T)
                      with its denominator cleared, zT' (1-3T) = T(1-T)
   additive-agreement one kernel K = (1-T)/(1-3T) vs its sequence form, to order
@@ -26,8 +25,8 @@ no production path; they exist here only as check routes.  1/(1-3T) is
 formed once per run, as the additive check's kernel K.
 
 :func:`run_verification` builds one count table, the production route's,
-and one oracle pass, hands each check the part it reads, and names the
-``(passed, detail)`` pair the check returns.  Used by the CLI verify
+walks each oracle size once, hands each check the part it reads, and names
+the ``(passed, detail)`` pair the check returns.  Used by the CLI verify
 subcommand; it returns structured results so callers decide presentation
 and exit codes.  A check that raises is reported as a failure, not
 propagated: the suite must survive a corrupted table, which tests make by
@@ -41,7 +40,7 @@ from _operator import add, itemgetter, mul  # operator.py only re-exports _opera
 from . import counting
 from .additive import builtin_tolls
 from .sampler import sample_text
-from .trees import DEFAULT_ORACLE_LIMIT, oracle_texts
+from .trees import DEFAULT_ORACLE_LIMIT, tree_texts
 
 #: bounds of ``series_terms``.  The count check convolves to that order in
 #: O(N^2) big-int products and the series checks multiply series of that
@@ -231,7 +230,7 @@ def _increasing(texts: list[str]) -> bool:
     return all(map(str.__lt__, texts, islice(texts, 1, None)))
 
 
-def _check_counts(table: counting.CountTable, trees: list, forests: list) -> tuple[bool, str]:
+def _check_counts(table: counting.CountTable, trees: list) -> tuple[bool, str]:
     conv = convolution_table(table.n_max)
     for n in range(1, table.n_max + 1):
         a = table.tree_count(n)
@@ -243,15 +242,15 @@ def _check_counts(table: counting.CountTable, trees: list, forests: list) -> tup
     for m in range(table.n_max + 1):
         if table.forest_count(m) != conv.s[m]:
             return False, f"m={m}: forest table {table.forest_count(m)}, convolution {conv.s[m]}"
-    # each list is a cross product, so its length matches the convolution by
-    # construction; t_n strictly increasing strings are t_n distinct trees
+    # t_n strictly increasing strings are t_n distinct trees, and those that
+    # end in "|]" are the distinct forests of size n - 1, one root above each
     for n in range(1, len(trees)):
         if len(trees[n]) != table.tree_count(n) or not _increasing(trees[n]):
             return False, (
                 f"enumeration at n={n} is not {table.tree_count(n)} distinct sorted trees"
             )
-    for m in range(len(forests)):
-        if len(forests[m]) != table.forest_count(m) or not _increasing(forests[m]):
+    for m in range(len(trees) - 1):
+        if sum(text.endswith("|]") for text in trees[m + 1]) != table.forest_count(m):
             return False, (
                 f"enumeration at m={m} is not {table.forest_count(m)} distinct sorted forests"
             )
@@ -343,7 +342,7 @@ def _guarded(name: str, check, *inputs) -> CheckResult:
 
 
 def run_verification(oracle_limit: int = 8, series_terms: int = 64) -> list[CheckResult]:
-    """Run all checks on one count table and one oracle pass.
+    """Run all checks on one count table and one walk of each oracle size.
 
     The table runs to ``max(series_terms, oracle_limit)``, and the series
     checks read T(z) off all of it, so the additive check has a GF
@@ -360,10 +359,11 @@ def run_verification(oracle_limit: int = 8, series_terms: int = 64) -> list[Chec
             f"(the check-route bound), got {series_terms}"
         )
     table = counting.build_count_table(max(series_terms, oracle_limit))
-    trees, forests = oracle_texts(max(oracle_limit, SAMPLER_EXACT_LIMIT))
+    sizes = range(1, max(oracle_limit, SAMPLER_EXACT_LIMIT) + 1)
+    trees = [None, *(list(tree_texts(n)) for n in sizes)]
     to_limit = trees[: oracle_limit + 1]
     return [
-        _guarded("count-agreement", _check_counts, table, to_limit, forests[:oracle_limit]),
+        _guarded("count-agreement", _check_counts, table, to_limit),
         _guarded("series-identity", _check_series, table.t),
         _guarded("additive-agreement", _check_additive, table.t, to_limit),
         _guarded("sampler-exact", _check_sampler, trees[: SAMPLER_EXACT_LIMIT + 1]),

@@ -21,7 +21,7 @@ from deptrees import (
     relative_error,
 )
 from deptrees.counting import SINGULARITY_FLOAT
-from deptrees.trees import oracle_texts
+from deptrees.trees import tree_texts
 from deptrees.verification import _check_additive, _check_counts, _check_sampler, _check_series
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -29,6 +29,11 @@ GOLDEN = Path(__file__).parent / "golden"
 # frozen tolerances (measured values noted alongside)
 REL_ERROR_TOL_AT_1000 = 2.5e-4          # measured -2.3613879688777492e-04
 RATIO_GAP_TOL_AT_2000 = Fraction(52, 10000)  # measured ~5.0597e-03
+
+
+def oracle(n: int) -> list:
+    """The string lists of the trees of sizes 1..n, as ``run_verification`` builds them."""
+    return [None, *(list(tree_texts(k)) for k in range(1, n + 1))]
 
 
 def verdict(num: int, passed: bool, summary: str, started: float) -> None:
@@ -41,7 +46,7 @@ def verdict(num: int, passed: bool, summary: str, started: float) -> None:
 class TestAcceptance:
     def test_criterion_01_three_way_counts(self):
         started = time.monotonic()
-        passed, detail = _check_counts(build_count_table(512), *oracle_texts(8))
+        passed, detail = _check_counts(build_count_table(512), oracle(8))
         verdict(
             1,
             passed,
@@ -53,7 +58,7 @@ class TestAcceptance:
     def test_criterion_02_oracle_agreement(self):
         started = time.monotonic()
         table = build_count_table(512)
-        passed, detail = _check_counts(table, *oracle_texts(8))
+        passed, detail = _check_counts(table, oracle(8))
         ok = passed and table.t[3:6] == (7, 30, 143)
         verdict(2, ok, f"oracle matches counts, t_3..t_5 = 7, 30, 143: {detail}", started)
 
@@ -69,7 +74,7 @@ class TestAcceptance:
 
     def test_criterion_05_cumulative_relation(self):
         started = time.monotonic()
-        passed, _ = _check_additive(build_count_table(128).t, oracle_texts(8)[0])
+        passed, _ = _check_additive(build_count_table(128).t, oracle(8))
         leaf = next(t for t in builtin_tolls() if t.name == "leaf")
         ok = passed and cumulative_by_enumeration(leaf, 3) == 10
         verdict(
@@ -109,7 +114,7 @@ class TestAcceptance:
 
     def test_criterion_08_sampler_uniformity(self):
         started = time.monotonic()
-        passed, detail = _check_sampler(oracle_texts(7)[0])
+        passed, detail = _check_sampler(oracle(7))
         verdict(8, passed, f"exact uniformity, no statistics: {detail}", started)
 
     def test_criterion_09_numeric_branch(self):

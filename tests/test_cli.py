@@ -24,6 +24,7 @@ import os
 import subprocess
 import sys
 from decimal import ROUND_FLOOR, Decimal, localcontext
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -280,7 +281,7 @@ class TestVerify:
         def refuse(*args, **kwargs):
             raise RuntimeError("enumeration started")
 
-        monkeypatch.setattr(verification, "oracle_texts", refuse)
+        monkeypatch.setattr(verification, "tree_texts", refuse)
         code, out, err = run_cli(capsys, "verify", "--oracle-limit", "11")
         assert code == 1
         assert out == ""
@@ -580,15 +581,27 @@ class TestOutput:
             lines += text.count("\n")
             assert n <= lines // per_row + 1, f"a block written after {n} counts"
 
-    def test_a_chunk_that_reaches_the_bound_is_cut_at_each_block_end(self, monkeypatch):
-        # short lines size the next chunk, so longer lines after them end one
-        # block, or two, inside a chunk
+    def test_a_block_is_written_once_it_reaches_the_bound(self, monkeypatch):
+        # short lines size the next chunk, so longer lines after them carry a
+        # block past the bound, by less than that chunk
         lines = ["a" * 3] * 20 + ["b" * 30] * 10 + ["c"] * 5 + ["d" * 120] * 2
-        recorder = Recorder()
+        chunks = []
+
+        def recording(iterable, take):
+            chunks.append(list(islice(iterable, take)))
+            return chunks[-1]
+
+        monkeypatch.setattr(cli, "islice", recording)
+        recorder = Recorder(chunks)
         monkeypatch.setattr(cli, "_BLOCK_CHARS", 50)
         monkeypatch.setattr(sys, "stdout", recorder)
         cli._write_lines(iter(lines))
-        assert recorder.writes == blocks_of([line + "\n" for line in lines], 50)
+        assert "".join(recorder.writes) == "".join(line + "\n" for line in lines)
+        assert len(recorder.writes) > 2
+        assert any(len(chunks[n - 1]) > 1 for n in recorder.drawn_at[:-1])
+        for text, n in zip(recorder.writes[:-1], recorder.drawn_at):
+            last = "\n".join(chunks[n - 1]) + "\n"
+            assert text.endswith(last) and 50 <= len(text) < 50 + len(last), text
 
     def test_a_chunk_of_growing_lines_is_capped(self, capsys, monkeypatch):
         # a chunk is sized at the last line's width, and a line of t_n grows

@@ -3,8 +3,9 @@
 Covers: construction and the serialization-backed dunders (which refuse a
 child that is not a tree), iterative size/subtree walks, the canonical
 grammar (round trips and byte-exact error offsets), exhaustive enumeration
-against the known counts, the string entry points against the serialized
-objects, the enumeration limit, that nothing outlives a call, and
+against the known counts, the grammar walk against the serialized objects
+(forests included) and its traced peak, the enumeration limit, checked
+when an entry point is called, that nothing outlives a call, and
 deep-chain safety (no recursion anywhere).
 """
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import copy
 import gc
 import pickle
+import tracemalloc
 import weakref
 
 import pytest
@@ -31,7 +33,7 @@ from deptrees import (
     serialize_forest,
     size,
 )
-from deptrees.trees import iter_subtrees, oracle_texts, tree_texts
+from deptrees.trees import iter_subtrees, tree_texts
 
 LEAF = DepTree()
 
@@ -226,20 +228,31 @@ class TestEnumeration:
         assert {size(f[0]) for f in forests} == {1, 2, 3}
 
     def test_texts_are_the_serialized_objects(self):
-        table = build_count_table(8)
-        trees, forests = oracle_texts(9)
-        for n in range(1, 9):
-            texts = tree_texts(n)
-            assert texts == trees[n]
+        # a forest of size m is the left forest of a size-(m+1) tree whose
+        # root has no right children: its string ends in "|]"
+        table = build_count_table(9)
+        for n in range(1, 10):
+            texts = list(tree_texts(n))
             assert texts == [serialize(t) for t in enumerate_trees(n)]
             assert all(a < b for a, b in zip(texts, texts[1:]))
             assert len(texts) == table.tree_count(n)
-        assert len(forests) == 9
-        for m in range(0, 9):
-            texts = forests[m]
-            assert texts == [serialize_forest(f) for f in enumerate_forests(m)]
-            assert all(a < b for a, b in zip(texts, texts[1:]))
-            assert len(texts) == table.forest_count(m)
+            forests = [text[1:-2] for text in texts if text.endswith("|]")]
+            assert forests == [serialize_forest(f) for f in enumerate_forests(n - 1)]
+            assert len(forests) == table.forest_count(n - 1)
+
+    def test_the_walk_starts_at_the_left_chain(self):
+        assert next(tree_texts(10)) == "[" * 10 + "|]" * 10
+
+    def test_the_walk_holds_no_size(self):
+        # the oracle's lists of every smaller size took 85 MiB here
+        tracemalloc.start()
+        try:
+            for _ in tree_texts(10):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, f"{peak / 2**20:.1f} MiB"
 
     def test_nothing_retained_between_calls(self):
         trees = enumerate_trees(6)
@@ -249,15 +262,16 @@ class TestEnumeration:
         assert ref() is None
 
     def test_domain_errors(self):
-        # the string entry points check exactly as the object ones do
-        for trees, forests in ((enumerate_trees, enumerate_forests), (tree_texts, oracle_texts)):
+        # the walk checks exactly as the object entry points do, when it is
+        # called: these calls start no iteration
+        for trees in (enumerate_trees, tree_texts):
             with pytest.raises(ValueError):
                 trees(0)
-            with pytest.raises(ValueError):
-                forests(-1)
+        with pytest.raises(ValueError):
+            enumerate_forests(-1)
 
     def test_oracle_limit(self):
-        for trees, forests in ((enumerate_trees, enumerate_forests), (tree_texts, oracle_texts)):
+        for trees in (enumerate_trees, tree_texts):
             with pytest.raises(OracleLimitError) as exc_info:
                 trees(DEFAULT_ORACLE_LIMIT + 1)
             assert exc_info.value.limit == DEFAULT_ORACLE_LIMIT
@@ -265,8 +279,8 @@ class TestEnumeration:
                 f"size {DEFAULT_ORACLE_LIMIT + 1} exceeds the enumeration limit "
                 f"{DEFAULT_ORACLE_LIMIT}"
             )
-            with pytest.raises(OracleLimitError):
-                forests(DEFAULT_ORACLE_LIMIT + 1)
+        with pytest.raises(OracleLimitError):
+            enumerate_forests(DEFAULT_ORACLE_LIMIT + 1)
 
     def test_limit_is_a_constant(self):
         # no entry point takes a limit, so the error above advises passing none

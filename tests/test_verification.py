@@ -1,13 +1,14 @@
 """Verification suite tests.
 
 Covers: the suite passing on a healthy build, structured results, one
-count table, one oracle pass and one cumulative GF kernel per run, fault
-injection through a wrong derivative, through a corrupted count table
-(both directly and through the CLI), through a wrong closed-form additive
-total, an oracle missing or repeating a tree and a wrong string fold, and
-through samplers that are biased, draw from the wrong slot range, skip
-draws or ignore their stream, crash containment inside checks, parameter
-validation, and the series helper of the sequence-form cumulative GF.
+count table, one walk of each oracle size and one cumulative GF kernel
+per run, fault injection through a wrong derivative, through a corrupted
+count table (both directly and through the CLI), through a wrong
+closed-form additive total, an oracle missing or repeating a tree or off
+its forest tally, and a wrong string fold, and through samplers that are
+biased, draw from the wrong slot range, skip draws or ignore their
+stream, crash containment inside checks, parameter validation, and the
+series helper of the sequence-form cumulative GF.
 """
 from __future__ import annotations
 
@@ -56,23 +57,26 @@ class TestHealthyRun:
         assert "order 8" in results[1].detail
 
     def test_one_table_and_one_oracle_pass(self, monkeypatch):
-        calls = {"table": 0, "oracle": 0}
-        real_table, real_oracle = counting.build_count_table, verification.oracle_texts
+        # each size 1..max(L, 6) is walked exactly once: the sampler check
+        # reads the sizes to 6 whatever the oracle limit L
+        real_table, real_walk = counting.build_count_table, verification.tree_texts
+        for oracle_limit in (4, 7):
+            tables, walked = [], []
 
-        def table(n):
-            calls["table"] += 1
-            return real_table(n)
+            def table(n):
+                tables.append(n)
+                return real_table(n)
 
-        def oracle(n):
-            calls["oracle"] += 1
-            return real_oracle(n)
+            def walk(n):
+                walked.append(n)
+                return real_walk(n)
 
-        monkeypatch.setattr(counting, "build_count_table", table)
-        monkeypatch.setattr(verification, "oracle_texts", oracle)
-        results = run_verification(oracle_limit=7, series_terms=16)
-        assert all(r.passed for r in results)
-        assert calls == {"table": 1, "oracle": 1}
-        assert not hasattr(verification, "tree_texts")
+            monkeypatch.setattr(counting, "build_count_table", table)
+            monkeypatch.setattr(verification, "tree_texts", walk)
+            results = run_verification(oracle_limit=oracle_limit, series_terms=16)
+            assert all(r.passed for r in results)
+            assert len(tables) == 1
+            assert sorted(walked) == list(range(1, max(oracle_limit, 6) + 1))
 
     def test_one_kernel_per_check(self, monkeypatch):
         # the additive check forms one kernel K = C(E = 1) in each form, which
@@ -189,14 +193,15 @@ class TestFaultInjection:
     def test_missing_oracle_tree_detected(self, monkeypatch):
         # the shared oracle loses one size-5 tree: the count falls short,
         # and every toll's total at n = 5 falls short of the GF
-        real = verification.oracle_texts
+        real = verification.tree_texts
 
         def short(n):
-            trees, forests = real(n)
-            del trees[5][0]
-            return trees, forests
+            texts = list(real(n))
+            if n == 5:
+                del texts[0]
+            return iter(texts)
 
-        monkeypatch.setattr(verification, "oracle_texts", short)
+        monkeypatch.setattr(verification, "tree_texts", short)
         results = run_verification(oracle_limit=6, series_terms=8)
         by_name = {r.name: r for r in results}
         assert not by_name["additive-agreement"].passed
@@ -206,24 +211,28 @@ class TestFaultInjection:
         assert "n=5" in by_name["count-agreement"].detail
 
     @pytest.mark.parametrize(
-        "part, size, detail",
+        "at, change, detail",
         [
-            (0, 5, "enumeration at n=5 is not 143 distinct sorted trees"),
-            (1, 4, "enumeration at m=4 is not 55 distinct sorted forests"),
+            (1, lambda texts: texts[0], "enumeration at n=5 is not 143 distinct sorted trees"),
+            (0, lambda texts: texts[0][:-1], "enumeration at m=4 is not 55 distinct sorted forests"),
         ],
         ids=["tree", "forest"],
     )
-    def test_repeated_oracle_string_detected(self, monkeypatch, part, size, detail):
-        # one string stands in for another: the list still has the right
-        # length, but no longer that many distinct trees (or forests)
-        real = verification.oracle_texts
+    def test_repeated_oracle_string_detected(self, monkeypatch, at, change, detail):
+        # one size-5 string stands in for another.  A repeat keeps the length
+        # but no longer gives 143 distinct trees.  The first string cut short
+        # by a byte keeps 143 distinct sorted strings, but only 54 of them end
+        # in "|]", a root with no right children above each of the 55 forests
+        # of size 4
+        real = verification.tree_texts
 
         def repeating(n):
-            oracle = real(n)
-            oracle[part][size][1] = oracle[part][size][0]
-            return oracle
+            texts = list(real(n))
+            if n == 5:
+                texts[at] = change(texts)
+            return iter(texts)
 
-        monkeypatch.setattr(verification, "oracle_texts", repeating)
+        monkeypatch.setattr(verification, "tree_texts", repeating)
         results = run_verification(oracle_limit=6, series_terms=8)
         assert results[0] == CheckResult("count-agreement", False, detail)
 
