@@ -21,16 +21,13 @@ is summed over the enumeration oracle, within its size limit.  Both GF forms
 of C live in :mod:`deptrees.verification`, which checks the closed forms
 against them and them against the oracle.
 """
-from __future__ import annotations
-
 from math import comb
-from _operator import itemgetter  # operator.py only re-exports _operator
 
-from .counting import count_closed_form
+from .counting import _Record, count_closed_form
 from .trees import DepTree, enumerate_trees, iter_subtrees, size
 
 
-class TollSpec(tuple):
+class TollSpec(_Record):
     """A toll e(t) plus, for builtins, the exact total of its parameter.
 
     ``evaluate`` must be a pure function of the tree value returning a
@@ -41,24 +38,10 @@ class TollSpec(tuple):
     """
 
     __slots__ = ()
-
-    name = property(itemgetter(0))
-    evaluate = property(itemgetter(1))
-    total = property(itemgetter(2))
-    description = property(itemgetter(3))
+    _fields = ("name", "evaluate", "total", "description")
 
     def __new__(cls, name: str, evaluate, total=None, description: str = ""):
         return tuple.__new__(cls, (name, evaluate, total, description))
-
-    def __getnewargs__(self):
-        return tuple(self)
-
-    def __repr__(self):
-        name, evaluate, total, description = self
-        return (
-            f"{type(self).__name__}(name={name!r}, evaluate={evaluate!r}, "
-            f"total={total!r}, description={description!r})"
-        )
 
 
 def _checked_toll_value(toll: TollSpec, t: DepTree) -> int:
@@ -79,14 +62,20 @@ def fold_cost(t: DepTree, toll: TollSpec) -> int:
 
 
 def _unit_total(n: int) -> int:
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     return comb(3 * n - 2, n - 1)
 
 
 def _leaf_total(n: int) -> int:
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     return comb(3 * n - 4, n - 1) if n > 1 else 1
 
 
 def _size_total(n: int) -> int:
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     # Horner in 3 over b_k = binom(2n-2+k, k), each from the last by one
     # small multiply and one exact division: O(n) steps on n-digit ints
     acc = b = 1

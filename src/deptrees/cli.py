@@ -12,8 +12,6 @@ a request imports neither argparse nor the ``re``, ``gettext`` and
 request.  Everything else (help, abbreviations, ``--`` and every usage
 error) goes to an argparse parser built from the same table.
 """
-from __future__ import annotations
-
 import math
 import sys
 from itertools import chain, islice

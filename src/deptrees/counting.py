@@ -20,8 +20,6 @@ error, and :func:`eval_T_numeric`, the branch through 0 of T(1-T)^2 = z on
 [0, 4/27] by Viete's root T = (4/3) sin^2(a/3), where sin a = sqrt(27 z)/2:
 with s = sin(a/3), sin a = 3s - 4s^3 gives T (1-T)^2 = (4/27) sin^2 a = z.
 """
-from __future__ import annotations
-
 import math
 from itertools import islice
 from _operator import itemgetter  # operator.py only re-exports _operator
@@ -33,7 +31,30 @@ _LOG_GROWTH = math.log(6.75)
 SINGULARITY_FLOAT = 4.0 / 27.0
 
 
-class CountTable(tuple):
+class _Record(tuple):
+    """An immutable record: a plain tuple whose fields, named in ``_fields``,
+    read as properties, and by which it pickles, copies and prints.  A
+    subclass sets ``__slots__ = ()`` and ``_fields``, and writes its own
+    ``__new__``.
+    """
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        for i, field in enumerate(cls._fields):
+            setattr(cls, field, property(itemgetter(i)))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self):
+        fields = ", ".join(f"{field}={value!r}" for field, value in zip(self._fields, self))
+        return f"{type(self).__name__}({fields})"
+
+
+class CountTable(_Record):
     """Immutable tables of tree counts t_n and forest counts s_m.
 
     ``t[n]`` counts trees of size n (``t[0]`` is the 0 sentinel); ``s[m]``
@@ -43,18 +64,10 @@ class CountTable(tuple):
     """
 
     __slots__ = ()
-
-    t = property(itemgetter(0))
-    s = property(itemgetter(1))
+    _fields = ("t", "s")
 
     def __new__(cls, t: tuple, s: tuple):
         return tuple.__new__(cls, (t, s))
-
-    def __getnewargs__(self):
-        return tuple(self)
-
-    def __repr__(self):
-        return f"{type(self).__name__}(t={self[0]!r}, s={self[1]!r})"
 
     @property
     def n_max(self) -> int:

@@ -43,8 +43,6 @@ It is a module object, as an import would bind, so code that replaces
 ``random.Random`` subclass (the benchmark's tracer swaps in one that
 counts the bits drawn) still reaches every draw.
 """
-from __future__ import annotations
-
 import sys
 from itertools import accumulate
 
@@ -63,13 +61,17 @@ random = _Deferred("_random")
 
 
 class SamplerState:
-    """A seeded random stream.
+    """A random stream seeded by an int.
 
+    Any other seed is refused with ``TypeError``: ``_random`` would seed a
+    str by its salted hash, and None by OS entropy, so neither reproduces.
     Single-owner mutable: each draw advances the stream.  Distinct states
     can be used concurrently.
     """
 
     def __init__(self, seed: int):
+        if not isinstance(seed, int):
+            raise TypeError(f"seed must be an int, got {type(seed).__name__}")
         self.seed = seed
         self.rng = random.Random(seed)
 

@@ -22,8 +22,6 @@ objects are built afresh on each call, and only where asked.  Per call on a
 0.18 s (0.3 / 0.7 / 1.7 MiB) at n = 8 / 9 / 10, and ``enumerate_trees``
 0.06 / 0.42 / 3.2 s (6 / 35 / 206 MiB).
 """
-from __future__ import annotations
-
 DEFAULT_ORACLE_LIMIT = 10
 
 
@@ -53,7 +51,7 @@ class DepTree:
 
     __slots__ = ("left", "right", "__weakref__")
 
-    def __init__(self, left: tuple[DepTree, ...] = (), right: tuple[DepTree, ...] = ()):
+    def __init__(self, left: "tuple[DepTree, ...]" = (), right: "tuple[DepTree, ...]" = ()):
         object.__setattr__(self, "left", left if isinstance(left, tuple) else tuple(left))
         object.__setattr__(self, "right", right if isinstance(right, tuple) else tuple(right))
 

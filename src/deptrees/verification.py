@@ -32,10 +32,8 @@ and exit codes.  A check that raises is reported as a failure, not
 propagated: the suite must survive a corrupted table, which tests make by
 patching ``counting.build_count_table``.
 """
-from __future__ import annotations
-
 from itertools import combinations, islice
-from _operator import add, itemgetter, mul  # operator.py only re-exports _operator
+from _operator import add, mul  # operator.py only re-exports _operator
 
 from . import counting
 from .additive import builtin_tolls
@@ -52,27 +50,17 @@ MAX_SERIES_TERMS = 512
 SAMPLER_EXACT_LIMIT = 6
 
 
-class CheckResult(tuple):
+class CheckResult(counting._Record):
     """One check's verdict: its name, whether it passed, and a detail line.
 
     The record is the tuple ``(name, passed, detail)``.
     """
 
     __slots__ = ()
-
-    name = property(itemgetter(0))
-    passed = property(itemgetter(1))
-    detail = property(itemgetter(2))
+    _fields = ("name", "passed", "detail")
 
     def __new__(cls, name: str, passed: bool, detail: str):
         return tuple.__new__(cls, (name, passed, detail))
-
-    def __getnewargs__(self):
-        return tuple(self)
-
-    def __repr__(self):
-        name, passed, detail = self
-        return f"{type(self).__name__}(name={name!r}, passed={passed!r}, detail={detail!r})"
 
 
 class PowerSeries:
@@ -122,7 +110,7 @@ class PowerSeries:
 
     __rmul__ = __mul__
 
-    def quasi_inverse(self) -> PowerSeries:
+    def quasi_inverse(self) -> "PowerSeries":
         """b with (1 - self) b = 1, the sequence construction; the constant term must be 0."""
         if self.coeffs[0] != 0:
             raise ValueError("quasi-inverse requires a zero constant term")

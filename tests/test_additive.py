@@ -146,6 +146,12 @@ class TestBuiltinTolls:
             C = cumulative_gf(_TOLL_GFS[toll.name](T), T)
             assert [toll.total(n) for n in range(1, 201)] == list(C.coeffs[1:]), toll.name
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_totals_refuse_sizes_below_one(self, n):
+        for toll in builtin_tolls():
+            with pytest.raises(ValueError, match=f"n must be at least 1, got {n}"):
+                toll.total(n)
+
 
 class TestCumulativeGF:
     def test_both_forms_agree(self):

@@ -725,10 +725,11 @@ class TestStartup:
         assert proc.returncode == 0, proc.stderr
         loaded = set(proc.stdout.split())
         # random (with bisect, warnings and _sha512) and os would be half the
-        # import; a draw loads only _random, and only the branches that use it os
+        # import; a draw loads only _random, and only the branches that use it os.
+        # Every annotation evaluates as written, so no module needs __future__
         assert loaded.isdisjoint(
             {"dataclasses", "typing", "inspect", "secrets", "json", "collections",
-             "random", "_random", "os", "operator"}
+             "random", "_random", "os", "operator", "__future__"}
         )
         assert layers() and layers() <= loaded
 

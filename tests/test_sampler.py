@@ -125,6 +125,14 @@ class TestDeterminism:
     def test_seed_recorded(self):
         assert SamplerState(99).seed == 99
 
+    @pytest.mark.parametrize(
+        "seed, kind", [("abc", "str"), (b"abc", "bytes"), (None, "NoneType"), (1.5, "float")]
+    )
+    def test_a_seed_that_is_not_an_int_is_refused(self, seed, kind):
+        # a str seeds _random by its salted hash, None by OS entropy
+        with pytest.raises(TypeError, match=f"seed must be an int, got {kind}"):
+            SamplerState(seed)
+
 
 class TestRandomModule:
     def test_a_random_module_put_on_the_sampler_serves_every_draw(self, monkeypatch):
@@ -154,7 +162,7 @@ class TestRandomModule:
         assert sum(bits) > 0
 
     @pytest.mark.parametrize(
-        "seed", [0, 1, 7, -5, -(2**70), 2**64 - 1, 2**64, 12345678901234567890]
+        "seed", [0, 1, 7, -5, -(2**70), 2**64 - 1, 2**64, 12345678901234567890, True]
     )
     @pytest.mark.parametrize("n", [1, 2, 6, 7, 40, 700])
     def test_stars_are_random_sample_bit_for_bit(self, seed, n):
