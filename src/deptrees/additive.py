@@ -23,7 +23,7 @@ against them and them against the oracle.
 """
 from math import comb
 
-from .counting import _Record, count_closed_form
+from .counting import _Record, _check_size, count_closed_form
 from .trees import DepTree, enumerate_trees, iter_subtrees, size
 
 
@@ -31,8 +31,9 @@ class TollSpec(_Record):
     """A toll e(t) plus, for builtins, the exact total of its parameter.
 
     ``evaluate`` must be a pure function of the tree value returning a
-    nonnegative int.  ``total``, if not None, maps a size n >= 1 to the sum
-    of c(t) over every size-n tree; tolls without one fall back to
+    nonnegative int.  ``total``, if not None, maps a size n to the sum of
+    c(t) over every size-n tree; a builtin ``total`` refuses a bad n as
+    every sized entry point does.  Tolls without one fall back to
     enumeration (oracle-limited).  ``description`` defaults to "".  The
     record is the tuple ``(name, evaluate, total, description)``.
     """
@@ -62,20 +63,17 @@ def fold_cost(t: DepTree, toll: TollSpec) -> int:
 
 
 def _unit_total(n: int) -> int:
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    _check_size(n)
     return comb(3 * n - 2, n - 1)
 
 
 def _leaf_total(n: int) -> int:
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    _check_size(n)
     return comb(3 * n - 4, n - 1) if n > 1 else 1
 
 
 def _size_total(n: int) -> int:
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    _check_size(n)
     # Horner in 3 over b_k = binom(2n-2+k, k), each from the last by one
     # small multiply and one exact division: O(n) steps on n-digit ints
     acc = b = 1
@@ -117,8 +115,6 @@ def toll_by_name(name: str) -> TollSpec:
 
 def cumulative_by_enumeration(toll: TollSpec, n: int) -> int:
     """Sum of fold_cost over every size-n tree, straight from the oracle."""
-    if n < 1:
-        raise ValueError(f"tree sizes start at 1, got {n}")
     return sum(fold_cost(t, toll) for t in enumerate_trees(n))
 
 
@@ -130,7 +126,5 @@ def mean_parameter(toll: TollSpec, n: int):
     """
     from fractions import Fraction
 
-    if n < 1:
-        raise ValueError(f"tree sizes start at 1, got {n}")
     total = cumulative_by_enumeration(toll, n) if toll.total is None else toll.total(n)
     return Fraction(total, count_closed_form(n))

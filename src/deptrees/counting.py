@@ -54,6 +54,15 @@ class _Record(tuple):
         return f"{type(self).__name__}({fields})"
 
 
+def _check_size(n: int, what: str = "n", least: int | None = 1) -> None:
+    """Refuse a size ``n`` that is not an int (a bool is one) with ``TypeError``,
+    or one below ``least`` with ``ValueError``; ``least=None`` checks the type only."""
+    if not isinstance(n, int):
+        raise TypeError(f"{what} must be an int, got {type(n).__name__}")
+    if least is not None and n < least:
+        raise ValueError(f"{what} must be at least {least}, got {n}")
+
+
 class CountTable(_Record):
     """Immutable tables of tree counts t_n and forest counts s_m.
 
@@ -105,8 +114,7 @@ def build_count_table(n_max: int) -> CountTable:
     s_m = binom(3m, m)/(2m+1) and binom(3m+1, m) = binom(3m, m)(3m+1)/(2m+1),
     so s_m = (m+1) t_{m+1} / (3m+1), an exact division.
     """
-    if n_max < 1:
-        raise ValueError(f"table size must be at least 1, got {n_max}")
+    _check_size(n_max, "n_max")
     t = (0, *islice(tree_counts(), n_max + 1))
     s = tuple((m + 1) * t[m + 1] // (3 * m + 1) for m in range(n_max + 1))
     return CountTable(t[:-1], s)
@@ -114,8 +122,7 @@ def build_count_table(n_max: int) -> CountTable:
 
 def count_closed_form(n: int) -> int:
     """Exact t_n = binom(3n-2, n-1) / n; the division is checked exact."""
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    _check_size(n)
     q, r = divmod(math.comb(3 * n - 2, n - 1), n)
     assert r == 0, f"n={n} does not divide binom(3n-2, n-1)"
     return q
@@ -126,8 +133,7 @@ def stirling_log_approx(n: int) -> float:
 
     Stays in log space; (27/4)^n itself overflows a float near n = 360.
     """
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    _check_size(n)
     return _AMPLITUDE_LOG - 1.5 * math.log(n) + n * _LOG_GROWTH
 
 

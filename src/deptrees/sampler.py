@@ -46,6 +46,7 @@ counts the bits drawn) still reaches every draw.
 import sys
 from itertools import accumulate
 
+from .counting import _check_size
 from .trees import DepTree, Forest, parse, parse_forest
 
 
@@ -120,8 +121,7 @@ def _tree_from_stars(n: int, stars) -> str:
 
 def sample_text(n: int, state: SamplerState) -> str:
     """The canonical string of one uniform tree of size exactly n >= 1."""
-    if n < 1:
-        raise ValueError(f"tree size must be at least 1, got {n}")
+    _check_size(n)
     return _tree_from_stars(n, state.stars(n))
 
 
@@ -131,9 +131,8 @@ def sample_tree(n: int, state: SamplerState) -> DepTree:
 
 
 def sample_forest(m: int, state: SamplerState) -> Forest:
-    """One uniform forest of total size m (m = 0 gives the empty forest)."""
-    if m < 0:
-        raise ValueError(f"forest size must be nonnegative, got {m}")
+    """One uniform forest of total size m >= 0 (m = 0 gives the empty forest)."""
+    _check_size(m, "m", 0)
     while True:
         text = sample_text(m + 1, state)
         if text.endswith("|]"):  # the root has no right children

@@ -22,6 +22,8 @@ objects are built afresh on each call, and only where asked.  Per call on a
 0.18 s (0.3 / 0.7 / 1.7 MiB) at n = 8 / 9 / 10, and ``enumerate_trees``
 0.06 / 0.42 / 3.2 s (6 / 35 / 206 MiB).
 """
+from .counting import _check_size
+
 DEFAULT_ORACLE_LIMIT = 10
 
 
@@ -239,17 +241,17 @@ def _oracle(n: int) -> tuple[list, list]:
     return trees, forests
 
 
-def _check_size(n: int, what: str = "tree", least: int = 1) -> None:
-    if n < least:
-        raise ValueError(f"{what} size must be at least {least}, got {n}")
+def _check_oracle_size(n: int, what: str = "n", least: int = 1) -> None:
+    _check_size(n, what, least)
     if n > DEFAULT_ORACLE_LIMIT:
         raise OracleLimitError(n, DEFAULT_ORACLE_LIMIT)
 
 
 def tree_texts(n: int):
     """An iterator over the canonical string of every tree of size ``n``, in
-    sorted order.  Refuses ``n`` as :func:`enumerate_trees` does, when called."""
-    _check_size(n)
+    sorted order.  A bad ``n`` is refused when it is called, as by
+    :func:`enumerate_trees`, before the first string."""
+    _check_oracle_size(n)
     return _walk("[", "|]", n - 1, {})
 
 
@@ -259,11 +261,11 @@ def enumerate_trees(n: int) -> list[DepTree]:
     Refuses ``n > DEFAULT_ORACLE_LIMIT``: the counts grow like (27/4)^n, so
     unbounded enumeration is never what you want by accident.
     """
-    _check_size(n)
+    _check_oracle_size(n)
     return [tree for _, tree in _oracle(n)[0][n]]
 
 
 def enumerate_forests(m: int) -> list[Forest]:
     """Every forest of total size ``m``, sorted by concatenated serialization."""
-    _check_size(m, "forest", 0)
+    _check_oracle_size(m, "m", 0)
     return [forest for _, forest in _forests_of(m, *_oracle(m))]

@@ -128,8 +128,7 @@ def convolution_table(n_max: int) -> counting.CountTable:
 
     O(N^2) big-integer multiply-adds.
     """
-    if n_max < 1:
-        raise ValueError(f"table size must be at least 1, got {n_max}")
+    counting._check_size(n_max, "n_max")
     t = [0] * (n_max + 1)
     s = [0] * (n_max + 1)
     s[0] = 1
@@ -147,8 +146,7 @@ def lagrange_coefficient(n: int) -> int:
     k = n-1, and divides by n.  Deliberately shares no code with
     :func:`~deptrees.counting.count_closed_form`.
     """
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    counting._check_size(n)
     c = 1  # binom(2n-1, 0)
     for k in range(1, n):
         c = c * (2 * n - 1 + k) // k
@@ -336,6 +334,8 @@ def run_verification(oracle_limit: int = 8, series_terms: int = 64) -> list[Chec
     checks read T(z) off all of it, so the additive check has a GF
     coefficient for every oracle size.
     """
+    counting._check_size(oracle_limit, "oracle_limit", least=None)
+    counting._check_size(series_terms, "series_terms", least=None)
     if not 1 <= oracle_limit <= DEFAULT_ORACLE_LIMIT:
         raise ValueError(
             f"need 1 <= oracle_limit <= {DEFAULT_ORACLE_LIMIT} (the enumeration limit), "

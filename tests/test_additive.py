@@ -151,6 +151,8 @@ class TestBuiltinTolls:
         for toll in builtin_tolls():
             with pytest.raises(ValueError, match=f"n must be at least 1, got {n}"):
                 toll.total(n)
+            with pytest.raises(TypeError, match="n must be an int, got float"):
+                toll.total(n + 2.5)
 
 
 class TestCumulativeGF:

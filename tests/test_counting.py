@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,12 +20,15 @@ from deptrees import (
     CountTable,
     build_count_table,
     count_closed_form,
+    cumulative_by_enumeration,
     enumerate_forests,
     enumerate_trees,
+    mean_parameter,
     relative_error,
     stirling_log_approx,
+    toll_by_name,
 )
-from deptrees.verification import lagrange_coefficient
+from deptrees.verification import convolution_table, lagrange_coefficient
 
 # first entries of A006013 and its sequence-of-forests companion
 KNOWN_T = [0, 1, 2, 7, 30, 143, 728, 3876, 21318, 120175, 690690]
@@ -34,6 +38,43 @@ KNOWN_S = [1, 1, 3, 12, 55, 273, 1428, 7752, 43263, 246675, 1430715]
 @pytest.fixture(scope="module")
 def table_128():
     return build_count_table(128)
+
+
+class TestSizeCheck:
+    # the sized entry points whose own tests do not cover the refusals;
+    # the sampler, oracle and toll totals are covered in their modules
+    ENTRY_POINTS = {
+        "build_count_table": (build_count_table, "n_max"),
+        "count_closed_form": (count_closed_form, "n"),
+        "stirling_log_approx": (stirling_log_approx, "n"),
+        "convolution_table": (convolution_table, "n_max"),
+        "lagrange_coefficient": (lagrange_coefficient, "n"),
+        "mean_parameter": (partial(mean_parameter, toll_by_name("leaf")), "n"),
+        "cumulative_by_enumeration": (
+            partial(cumulative_by_enumeration, toll_by_name("leaf")), "n"
+        ),
+    }
+
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    def test_a_size_that_is_not_an_int_is_refused(self, name):
+        entry, what = self.ENTRY_POINTS[name]
+        for bad in (2.5, 3.0):
+            with pytest.raises(TypeError, match=f"^{what} must be an int, got float$"):
+                entry(bad)
+
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    def test_a_size_below_one_is_refused(self, name):
+        entry, what = self.ENTRY_POINTS[name]
+        for bad in (0, -3):
+            with pytest.raises(ValueError, match=f"^{what} must be at least 1, got {bad}$"):
+                entry(bad)
+
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    def test_a_bool_is_an_int(self, name):
+        entry, _ = self.ENTRY_POINTS[name]
+        entry(True)
+        with pytest.raises(ValueError, match="must be at least 1, got False"):
+            entry(False)
 
 
 class TestCountTable:

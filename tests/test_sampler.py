@@ -210,9 +210,14 @@ class TestShapes:
         state = SamplerState(1)
         before = state.rng.getstate()
         for bad in (0, -2):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=f"n must be at least 1, got {bad}"):
                 sample_tree(bad, state)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="m must be at least 0, got -1"):
             sample_forest(-1, state)
+        # a float used to reach range() inside the draw
+        with pytest.raises(TypeError, match="n must be an int, got float"):
+            sample_tree(2.5, state)
+        with pytest.raises(TypeError, match="m must be an int, got float"):
+            sample_forest(1.5, state)
         # refused before any random bits are drawn
         assert state.rng.getstate() == before

@@ -265,10 +265,15 @@ class TestEnumeration:
         # the walk checks exactly as the object entry points do, when it is
         # called: these calls start no iteration
         for trees in (enumerate_trees, tree_texts):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="n must be at least 1, got 0"):
                 trees(0)
-        with pytest.raises(ValueError):
+            # 2.5 passed the range check once, and the walk never ended
+            with pytest.raises(TypeError, match="n must be an int, got float"):
+                trees(2.5)
+        with pytest.raises(ValueError, match="m must be at least 0, got -1"):
             enumerate_forests(-1)
+        with pytest.raises(TypeError, match="m must be an int, got float"):
+            enumerate_forests(1.5)
 
     def test_oracle_limit(self):
         for trees in (enumerate_trees, tree_texts):

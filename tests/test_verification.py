@@ -344,6 +344,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="series_terms <= 512"):
             run_verification(series_terms=verification.MAX_SERIES_TERMS + 1)
 
+    @pytest.mark.parametrize("argument", ["oracle_limit", "series_terms"])
+    def test_a_bound_that_is_not_an_int_is_refused(self, argument):
+        # a float in range used to pass the range checks and fail deep inside
+        for value, kind in ((4.5, "float"), (8.5, "float"), ("8", "str")):
+            with pytest.raises(TypeError, match=f"{argument} must be an int, got {kind}"):
+                run_verification(**{argument: value})
+
 
 class TestCliIntegration:
     def test_verify_ok(self, capsys):
