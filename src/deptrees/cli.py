@@ -5,6 +5,10 @@ verification failure, 2 usage error.  Data goes to stdout, diagnostics
 (including generated seeds) to stderr.  All behavior is controlled by
 flags; invocations are deterministic given their flags, including --seed.
 
+Every stdout line leaves through one writer, :func:`_write_lines`.  A
+handler returns nothing and fails by raising, so :func:`main` alone sets
+the exit code, and every exit-1 diagnostic is one ``error: `` line.
+
 The arguments live in one table, :data:`COMMANDS`.  Plain argv, the shape
 of every scripted request, is read straight off it (:func:`_direct`), so
 a request imports neither argparse nor the ``re``, ``gettext`` and
@@ -83,33 +87,25 @@ def _write_lines(lines) -> None:
         sys.stdout.write("".join(block))
 
 
-def _cmd_count(n, upto, format) -> int:
+def _cmd_count(n, upto, format) -> None:
     if n is not None:
         _check_exact(n)
-        t = count_closed_form(n)
-        if format == "plain":
-            print(t)
-            return 0
-        rows, last = [(n, t)], n
+        rows, last = [(n, count_closed_form(n))], n
     else:
         rows, last = enumerate(islice(tree_counts(), upto), 1), upto
     if format == "json":
         # json.dumps(..., indent=2) a row at a time: the values are digit strings
-        print("[")
-        _write_lines(
-            f'  {{\n    "n": {k},\n    "value": "{t}"\n  }}{"," if k < last else ""}'
-            for k, t in rows
-        )
-        print("]")
+        objects = (f'  {{\n    "n": {k},\n    "value": "{t}"\n  }}{"," if k < last else ""}'
+                   for k, t in rows)
+        lines = chain(("[",), objects, ("]",))
     elif format == "csv":
-        print("n,t_n")
-        _write_lines(f"{k},{t}" for k, t in rows)
-    else:
-        _write_lines(f"{k} {t}" for k, t in rows)
-    return 0
+        lines = chain(("n,t_n",), (f"{k},{t}" for k, t in rows))
+    else:  # count n prints the bare value
+        lines = (f"{t}" if n else f"{k} {t}" for k, t in rows)
+    _write_lines(lines)
 
 
-def _cmd_approx(n, compare) -> int:
+def _cmd_approx(n, compare) -> None:
     if compare:
         _check_exact(n)
     try:
@@ -120,22 +116,18 @@ def _cmd_approx(n, compare) -> int:
         raise ValueError(
             f"n={n} is above about {_MAX_APPROX_N:.1e}, the largest n whose ln_approx is finite"
         )
-    print(f"n {n}")
-    print(f"ln_approx {ln_approx!r}")
-    print(f"approx {_decimal_form(n)}")
+    lines = [f"n {n}", f"ln_approx {ln_approx!r}", f"approx {_decimal_form(n)}"]
     if compare:
         t = count_closed_form(n)
-        print(f"exact {t}")
-        print(f"rel_error {relative_error_of(ln_approx, t)!r}")
-    return 0
+        lines += [f"exact {t}", f"rel_error {relative_error_of(ln_approx, t)!r}"]
+    _write_lines(lines)
 
 
-def _cmd_enumerate(n) -> int:
+def _cmd_enumerate(n) -> None:
     _write_lines(tree_texts(n))
-    return 0
 
 
-def _cmd_sample(n, count, seed) -> int:
+def _cmd_sample(n, count, seed) -> None:
     if n > _MAX_SAMPLE_N:
         raise ValueError(f"n={n} is above {_MAX_SAMPLE_N}, the largest n sampled")
     if seed is None:
@@ -147,44 +139,39 @@ def _cmd_sample(n, count, seed) -> int:
         print(f"seed {seed}", file=sys.stderr)
     state = SamplerState(seed)
     _write_lines(sample_text(n, state) for _ in range(count))
-    return 0
 
 
-def _cmd_series(terms) -> int:
-    print("k,coefficient")
-    _write_lines(f"{k},{c}" for k, c in enumerate(chain((0,), islice(tree_counts(), terms))))
-    return 0
+def _cmd_series(terms) -> None:
+    coefficients = enumerate(chain((0,), islice(tree_counts(), terms)))
+    _write_lines(chain(("k,coefficient",), (f"{k},{c}" for k, c in coefficients)))
 
 
-def _cmd_param(n, toll) -> int:
+def _cmd_param(n, toll) -> None:
     # the mean in lowest terms without a Fraction: the total and t_n once each
     _check_exact(n)
     total = toll_by_name(toll).total(n)
     t = count_closed_form(n)
     g = math.gcd(total, t)
-    print("n,total,mean_num,mean_den")
-    print(f"{n},{total},{total // g},{t // g}")
-    return 0
+    _write_lines(("n,total,mean_num,mean_den", f"{n},{total},{total // g},{t // g}"))
 
 
-def _cmd_verify(oracle_limit, series_terms) -> int:
+def _cmd_verify(oracle_limit, series_terms) -> None:
     results = run_verification(oracle_limit=oracle_limit, series_terms=series_terms)
     width = max(len(r.name) for r in results)
-    for r in results:
-        status = "ok" if r.passed else "FAIL"
-        print(f"{r.name:<{width}}  {status:<4}  {r.detail}")
+    _write_lines(
+        f"{r.name:<{width}}  {'ok' if r.passed else 'FAIL':<4}  {r.detail}" for r in results
+    )
     for r in results:
         if not r.passed:
-            print(f"verification failed: {r.name}", file=sys.stderr)
-            return 1
-    return 0
+            raise ValueError(f"verification failed: {r.name}")
 
 
 _DESCRIPTION = (
     "Exact counting, enumeration, sampling, and statistics for dependency trees."
 )
 
-#: subcommand -> (handler, help line, arguments, required groups).  The
+#: subcommand -> (handler, help line, arguments, required groups).  A
+#: handler writes its lines through ``_write_lines`` and returns nothing.  The
 #: arguments map a name to (kind, metavar, default, help).  A name starting
 #: with "--" is an option, any other a positional; the handler gets each
 #: value as a keyword, the name without its dashes and with "-" read as "_".
@@ -366,18 +353,25 @@ def parse_args(argv: list[str]) -> tuple[str, dict]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):
-        # t_n outgrows the default 4300-digit int-to-str limit near n = 5200
+    """Run one request and return its exit code: 0, 1 with an ``error: `` line, or 2."""
+    # t_n outgrows the default 4300-digit int-to-str limit near n = 5200, so
+    # the limit is lifted for the request; 3.10.0-3.10.6 have no limit
+    lift = hasattr(sys, "set_int_max_str_digits")
+    if lift:
+        limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
     try:
         command, values = parse_args(sys.argv[1:] if argv is None else argv)
+        COMMANDS[command][0](**values)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return COMMANDS[command][0](**values)
     except (ValueError, IndexError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if lift:
+            sys.set_int_max_str_digits(limit)
+    return 0
 
 
 def run() -> None:

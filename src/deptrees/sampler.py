@@ -67,14 +67,21 @@ class SamplerState:
     Any other seed is refused with ``TypeError``: ``_random`` would seed a
     str by its salted hash, and None by OS entropy, so neither reproduces.
     Single-owner mutable: each draw advances the stream.  Distinct states
-    can be used concurrently.
+    can be used concurrently.  A state pickles and deep-copies with its
+    stream's position, so a copy draws what the original would draw next.
     """
 
     def __init__(self, seed: int):
-        if not isinstance(seed, int):
-            raise TypeError(f"seed must be an int, got {type(seed).__name__}")
+        _check_size(seed, "seed", least=None)
         self.seed = seed
         self.rng = random.Random(seed)
+
+    def __reduce__(self):
+        # ``_random.Random`` itself neither pickles nor copies
+        return type(self), (self.seed,), self.rng.getstate()
+
+    def __setstate__(self, state) -> None:
+        self.rng.setstate(state)
 
     def stars(self, n: int) -> list[int]:
         """A uniform (n-1)-subset of range(3n-2), sorted."""

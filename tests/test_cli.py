@@ -8,7 +8,8 @@ series-terms checks of ``verify``, the up-front size bound of ``count n``,
 ``Decimal`` reference up to n = 2^1023, ``param`` at large n with no table
 or series, ``param`` and ``approx --compare`` computing each big number
 once, block writes of line output bounded by characters and taken in capped
-chunks, ``count --upto`` and ``series`` streaming with no table, the
+chunks, one write for a short output, ``main`` restoring the int-to-str
+limit, ``count --upto`` and ``series`` streaming with no table, the
 ``python -m deptrees`` entry, the BrokenPipe path of ``run()`` under
 ``python -m`` and bare, the console-script mapping in ``pyproject.toml``,
 what a cold ``import deptrees.cli`` and a cold request load, the seed of a
@@ -94,6 +95,18 @@ def console_scripts() -> dict[str, str]:
     return scripts
 
 
+def unlimited_str(n: int) -> str:
+    """``str(n)`` under a lifted int-to-str limit (3.10.0-3.10.6 have none)."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return str(n)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -166,7 +179,22 @@ class TestCount:
         # t_6000 has over 4300 digits, Python's default int-to-str limit
         code, out, err = run_cli(capsys, "count", "6000")
         assert (code, err) == (0, "")
-        assert out == f"{count_closed_form(6000)}\n"
+        assert out == f"{unlimited_str(count_closed_form(6000))}\n"
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit before 3.10.7"
+    )
+    @pytest.mark.parametrize(
+        "argv, code", [(("count", "6000"), 0), (("count", "100001"), 1), (("count", "0"), 2)]
+    )
+    def test_main_restores_the_int_to_str_limit(self, capsys, argv, code):
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4321)
+        try:
+            assert run_cli(capsys, *argv)[0] == code
+            assert sys.get_int_max_str_digits() == 4321
+        finally:
+            sys.set_int_max_str_digits(before)
 
     def test_usage_errors(self, capsys):
         assert run_cli(capsys, "count")[0] == 2
@@ -515,11 +543,28 @@ class TestOutput:
         monkeypatch.setattr(sys, "stdout", recorder)
         assert cli.main(list(argv)) == 0
         writes = recorder.writes
-        blocks = blocks_of(out.splitlines(keepends=True)[header:], 24)
+        blocks = blocks_of(out.splitlines(keepends=True), 24)
         assert "".join(writes) == out
-        assert writes[-len(blocks) :] == blocks
-        assert len(writes) <= len(blocks) + 2 * header  # print writes the header and its newline
-        assert len(blocks) < len(out.splitlines()) - header
+        assert writes == blocks
+        assert writes[0].count("\n") > header  # a header shares the first block
+        assert len(blocks) < len(out.splitlines())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("count", "5"),
+            ("approx", "50", "--compare"),
+            ("param", "--toll", "leaf", "20"),
+            ("verify", "--oracle-limit", "3", "--series-terms", "8"),
+        ],
+    )
+    def test_a_short_output_is_one_write(self, capsys, monkeypatch, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        recorder = Recorder()
+        monkeypatch.setattr(sys, "stdout", recorder)
+        assert cli.main(list(argv)) == 0
+        assert recorder.writes == [out]
 
     def test_a_block_ends_on_the_line_that_reaches_the_bound(self, capsys, monkeypatch):
         # a block is bounded by characters, not lines: lines of t_n, some
@@ -572,11 +617,11 @@ class TestOutput:
         assert cli.main(list(argv)) == 0
         assert "".join(recorder.writes) == out
         assert len(drawn) == 10
-        # print writes the header and its newline; a json row takes 4 lines
+        # the header shares the first block; a json row takes 4 lines
         per_row = 4 if "json" in argv else 1
-        written = list(zip(recorder.drawn_at, recorder.writes))[2 * header :]
+        written = list(zip(recorder.drawn_at, recorder.writes))
         assert len(written) >= 3
-        lines = 0
+        lines = -header
         for n, text in written:
             lines += text.count("\n")
             assert n <= lines // per_row + 1, f"a block written after {n} counts"

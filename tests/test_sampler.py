@@ -6,13 +6,16 @@ a tree, so for small sizes every subset is replayed through that map and
 the hits are counted per tree.  Uniformity then reads "each tree of size
 n is hit exactly n times" (each forest of size m exactly m+1 times among
 the accepted subsets), with no statistics involved.  A chi-square smoke
-test, determinism checks, depth safety and range checks round it out,
+test, determinism checks (a pickled or deep-copied state resumes the
+stream), depth safety and range checks round it out,
 with the contract that a ``random`` module put on the sampler after the
 import serves every draw.
 """
 from __future__ import annotations
 
 import _random
+import copy
+import pickle
 import random
 import types
 from collections import Counter
@@ -132,6 +135,20 @@ class TestDeterminism:
         # a str seeds _random by its salted hash, None by OS entropy
         with pytest.raises(TypeError, match=f"seed must be an int, got {kind}"):
             SamplerState(seed)
+
+    @pytest.mark.parametrize(
+        "duplicate", [lambda state: pickle.loads(pickle.dumps(state)), copy.deepcopy]
+    )
+    def test_a_copy_resumes_the_stream(self, duplicate):
+        state = SamplerState(31)
+        for n in (3, 8, 20):
+            sample_text(n, state)
+        twin = duplicate(state)
+        assert twin.seed == 31
+        drawn = [sample_text(n, twin) for n in (5, 40, 5)]
+        # the copy drew on its own stream: the original is still where it was
+        assert [sample_text(n, state) for n in (5, 40, 5)] == drawn
+        assert twin.rng.getstate() == state.rng.getstate()
 
 
 class TestRandomModule:

@@ -364,8 +364,9 @@ class TestCliIntegration:
         code = cli.main(["verify", "--oracle-limit", "3", "--series-terms", "8"])
         captured = capsys.readouterr()
         assert code == 1
-        assert "FAIL" in captured.out
-        assert "verification failed: count-agreement" in captured.err
+        rows = {line.split()[0]: line.split()[1] for line in captured.out.splitlines()}
+        assert rows["count-agreement"] == "FAIL"
+        assert captured.err == "error: verification failed: count-agreement\n"
 
 
 class TestRoutes:
