@@ -34,15 +34,15 @@ class TollSpec(_Record):
     nonnegative int.  ``total``, if not None, maps a size n to the sum of
     c(t) over every size-n tree; a builtin ``total`` refuses a bad n as
     every sized entry point does.  Tolls without one fall back to
-    enumeration (oracle-limited).  ``description`` defaults to "".  The
-    record is the tuple ``(name, evaluate, total, description)``.
+    enumeration (oracle-limited).  The record is the tuple
+    ``(name, evaluate, total)``.
     """
 
     __slots__ = ()
-    _fields = ("name", "evaluate", "total", "description")
+    _fields = ("name", "evaluate", "total")
 
-    def __new__(cls, name: str, evaluate, total=None, description: str = ""):
-        return tuple.__new__(cls, (name, evaluate, total, description))
+    def __new__(cls, name: str, evaluate, total=None):
+        return tuple.__new__(cls, (name, evaluate, total))
 
 
 def _checked_toll_value(toll: TollSpec, t: DepTree) -> int:
@@ -84,19 +84,9 @@ def _size_total(n: int) -> int:
 
 
 _BUILTINS = (
-    TollSpec("unit", lambda t: 1, _unit_total, "e = 1 at every node; c(t) = |t|"),
-    TollSpec(
-        "leaf",
-        lambda t: 1 if not t.left and not t.right else 0,
-        _leaf_total,
-        "e = 1 exactly on the single node; c(t) counts leaves",
-    ),
-    TollSpec(
-        "size",
-        size,
-        _size_total,
-        "e(t) = |t|; c(t) is the total path length plus |t|",
-    ),
+    TollSpec("unit", lambda t: 1, _unit_total),
+    TollSpec("leaf", lambda t: 1 if not t.left and not t.right else 0, _leaf_total),
+    TollSpec("size", size, _size_total),
 )
 
 

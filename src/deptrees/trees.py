@@ -36,11 +36,13 @@ class ParseError(ValueError):
 
 
 class OracleLimitError(ValueError):
-    """Requested size is beyond the exhaustive-enumeration limit."""
+    """Requested size ``n`` is beyond the exhaustive-enumeration limit, the
+    class attribute ``limit`` (``DEFAULT_ORACLE_LIMIT``)."""
 
-    def __init__(self, n: int, limit: int):
-        super().__init__(f"size {n} exceeds the enumeration limit {limit}")
-        self.limit = limit
+    limit = DEFAULT_ORACLE_LIMIT
+
+    def __init__(self, n: int):
+        super().__init__(f"size {n} exceeds the enumeration limit {self.limit}")
 
 
 class DepTree:
@@ -244,7 +246,7 @@ def _oracle(n: int) -> tuple[list, list]:
 def _check_oracle_size(n: int, what: str = "n", least: int = 1) -> None:
     _check_size(n, what, least)
     if n > DEFAULT_ORACLE_LIMIT:
-        raise OracleLimitError(n, DEFAULT_ORACLE_LIMIT)
+        raise OracleLimitError(n)
 
 
 def tree_texts(n: int):

@@ -38,12 +38,11 @@ from _operator import add, mul  # operator.py only re-exports _operator
 from . import counting
 from .additive import builtin_tolls
 from .sampler import sample_text
-from .trees import DEFAULT_ORACLE_LIMIT, tree_texts
+from .trees import _check_oracle_size, tree_texts
 
-#: bounds of ``series_terms``.  The count check convolves to that order in
+#: largest ``series_terms``.  The count check convolves to that order in
 #: O(N^2) big-int products and the series checks multiply series of that
 #: order: about 1 s at 512 and 9 s at 1024 on a 2-vCPU VM (Python 3.11).
-MIN_SERIES_TERMS = 4
 MAX_SERIES_TERMS = 512
 
 #: largest size the sampler check replays, in n t_n draws (4368 at n = 6)
@@ -332,19 +331,14 @@ def run_verification(oracle_limit: int = 8, series_terms: int = 64) -> list[Chec
 
     The table runs to ``max(series_terms, oracle_limit)``, and the series
     checks read T(z) off all of it, so the additive check has a GF
-    coefficient for every oracle size.
+    coefficient for every oracle size.  Both bounds are refused before any
+    work, ``oracle_limit`` as the oracle refuses a size.
     """
-    counting._check_size(oracle_limit, "oracle_limit", least=None)
-    counting._check_size(series_terms, "series_terms", least=None)
-    if not 1 <= oracle_limit <= DEFAULT_ORACLE_LIMIT:
+    _check_oracle_size(oracle_limit, "oracle_limit")
+    counting._check_size(series_terms, "series_terms")
+    if series_terms > MAX_SERIES_TERMS:
         raise ValueError(
-            f"need 1 <= oracle_limit <= {DEFAULT_ORACLE_LIMIT} (the enumeration limit), "
-            f"got {oracle_limit}"
-        )
-    if not MIN_SERIES_TERMS <= series_terms <= MAX_SERIES_TERMS:
-        raise ValueError(
-            f"need {MIN_SERIES_TERMS} <= series_terms <= {MAX_SERIES_TERMS} "
-            f"(the check-route bound), got {series_terms}"
+            f"series_terms={series_terms} is above {MAX_SERIES_TERMS}, the largest order checked"
         )
     table = counting.build_count_table(max(series_terms, oracle_limit))
     sizes = range(1, max(oracle_limit, SAMPLER_EXACT_LIMIT) + 1)

@@ -311,10 +311,10 @@ class TestVerify:
 
         monkeypatch.setattr(verification, "tree_texts", refuse)
         code, out, err = run_cli(capsys, "verify", "--oracle-limit", "11")
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error: ")
-        assert "oracle_limit <= 10" in err
+        assert (code, out) == (1, "")
+        # the very line that enumerate 11 prints
+        assert err == "error: size 11 exceeds the enumeration limit 10\n"
+        assert run_cli(capsys, "enumerate", "11") == (1, "", err)
 
     def test_series_terms_above_bound_is_refused_up_front(self, capsys, monkeypatch):
         # the check routes are quadratic in the order: fail fast if any starts
@@ -324,11 +324,9 @@ class TestVerify:
         for name in ("_check_counts", "_check_series", "_check_additive", "_check_sampler"):
             monkeypatch.setattr(verification, name, refuse)
         monkeypatch.setattr(verification.counting, "build_count_table", refuse)
-        code, out, err = run_cli(capsys, "verify", "--series-terms", "513")
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error: ")
-        assert "series_terms <= 512" in err
+        assert run_cli(capsys, "verify", "--series-terms", "513") == (
+            1, "", "error: series_terms=513 is above 512, the largest order checked\n"
+        )
 
 
 class TestSample:

@@ -2,7 +2,7 @@
 
 Covers the contract shared by ``CountTable``, ``TollSpec`` and
 ``CheckResult``, each a plain ``tuple`` subclass: positional and keyword
-construction (with ``TollSpec``'s two defaults), equality, hashing and
+construction (with ``TollSpec``'s default ``total``), equality, hashing and
 unpacking as the plain tuple, read-only fields and no instance
 ``__dict__``, the pinned reprs, and pickle, ``copy`` and ``deepcopy``
 round trips.
@@ -22,10 +22,9 @@ CASES = [
     (CountTable, ("t", "s"), ((0, 1), (1, 1)), "CountTable(t=(0, 1), s=(1, 1))"),
     (
         TollSpec,
-        ("name", "evaluate", "total", "description"),
-        ("x", len, abs, "e = |t|"),
-        "TollSpec(name='x', evaluate=<built-in function len>, total=<built-in function abs>,"
-        " description='e = |t|')",
+        ("name", "evaluate", "total"),
+        ("x", len, abs),
+        "TollSpec(name='x', evaluate=<built-in function len>, total=<built-in function abs>)",
     ),
     (
         CheckResult,
@@ -50,8 +49,9 @@ class TestRecords:
         assert tuple(getattr(record, f) for f in fields) == values
 
     def test_toll_spec_defaults(self):
-        assert tuple(TollSpec("x", len)) == ("x", len, None, "")
-        assert TollSpec(name="x", evaluate=len, description="d").total is None
+        assert tuple(TollSpec("x", len)) == ("x", len, None)
+        assert TollSpec(name="x", evaluate=len).total is None
+        assert TollSpec._fields == ("name", "evaluate", "total")
 
     def test_wrong_arity_is_refused(self, case):
         cls, _, values, _ = case

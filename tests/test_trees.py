@@ -292,3 +292,10 @@ class TestEnumeration:
         for entry in (enumerate_trees, enumerate_forests):
             with pytest.raises(TypeError):
                 entry(3, limit=3)
+
+    def test_the_error_takes_only_the_size(self):
+        error = OracleLimitError(11)
+        assert str(error) == "size 11 exceeds the enumeration limit 10"
+        assert error.limit == DEFAULT_ORACLE_LIMIT == 10
+        with pytest.raises(TypeError):
+            OracleLimitError(11, 10)

@@ -18,7 +18,7 @@ import pytest
 
 from deptrees import CheckResult, CountTable, TollSpec, build_count_table, run_verification
 from deptrees import cli, counting, verification
-from deptrees.trees import tree_texts
+from deptrees.trees import OracleLimitError, tree_texts
 
 
 def corrupt(table: CountTable, n: int, delta: int = 1) -> CountTable:
@@ -180,9 +180,7 @@ class TestFaultInjection:
         def off_by_one(n, total=real[2].total):
             return total(n) + (n == 5)
 
-        bad = real[:2] + [
-            TollSpec(real[2].name, real[2].evaluate, off_by_one, real[2].description)
-        ]
+        bad = real[:2] + [TollSpec(real[2].name, real[2].evaluate, off_by_one)]
         monkeypatch.setattr(verification, "builtin_tolls", lambda: bad)
         results = run_verification(oracle_limit=3, series_terms=8)
         by_name = {r.name: r for r in results}
@@ -335,14 +333,37 @@ class TestFaultInjection:
 
 class TestValidation:
     def test_oracle_limit_bounds(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^oracle_limit must be at least 1, got 0$"):
             run_verification(oracle_limit=0)
 
+    def test_oracle_limit_is_refused_as_the_oracle_refuses_a_size(self, monkeypatch):
+        # the oracle's own error, raised before the table or any walk starts
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(verification, "tree_texts", refuse)
+        monkeypatch.setattr(counting, "build_count_table", refuse)
+        with pytest.raises(OracleLimitError) as exc_info:
+            run_verification(oracle_limit=11)
+        assert exc_info.value.limit == 10
+        assert str(exc_info.value) == "size 11 exceeds the enumeration limit 10"
+
     def test_series_terms_bounds(self):
-        with pytest.raises(ValueError):
-            run_verification(series_terms=3)
-        with pytest.raises(ValueError, match="series_terms <= 512"):
+        with pytest.raises(ValueError, match="^series_terms must be at least 1, got 0$"):
+            run_verification(series_terms=0)
+        with pytest.raises(
+            ValueError, match="^series_terms=513 is above 512, the largest order checked$"
+        ):
             run_verification(series_terms=verification.MAX_SERIES_TERMS + 1)
+
+    @pytest.mark.parametrize("oracle_limit", [1, 2, 3])
+    @pytest.mark.parametrize("series_terms", [1, 2, 3])
+    def test_the_smallest_bounds_pass(self, oracle_limit, series_terms):
+        results = run_verification(oracle_limit=oracle_limit, series_terms=series_terms)
+        assert [r.name for r in results] == [
+            "count-agreement", "series-identity", "additive-agreement", "sampler-exact"
+        ]
+        assert all(r.passed for r in results), results
 
     @pytest.mark.parametrize("argument", ["oracle_limit", "series_terms"])
     def test_a_bound_that_is_not_an_int_is_refused(self, argument):
