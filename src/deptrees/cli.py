@@ -21,7 +21,8 @@ import sys
 from itertools import chain, islice
 
 from .additive import builtin_tolls, toll_by_name
-from .counting import count_closed_form, relative_error_of, stirling_log_approx, tree_counts
+from .counting import (_check_size, count_closed_form, relative_error_of, stirling_log_approx,
+                       tree_counts)
 from .sampler import SamplerState, sample_text
 from .trees import tree_texts
 from .verification import run_verification
@@ -64,11 +65,6 @@ def _decimal_form(n: int) -> str:
     return f"{mantissa}e{whole + exponent + int(shift):+d}"
 
 
-def _check_exact(n: int) -> None:
-    if n > _MAX_EXACT_N:
-        raise ValueError(f"n={n} is above {_MAX_EXACT_N}, the largest n counted exactly")
-
-
 def _write_lines(lines) -> None:
     """Write each string of ``lines`` and a newline, a block at a time: a block
     is written once it holds ``_BLOCK_CHARS`` characters."""
@@ -89,7 +85,7 @@ def _write_lines(lines) -> None:
 
 def _cmd_count(n, upto, format) -> None:
     if n is not None:
-        _check_exact(n)
+        _check_size(n, most=_MAX_EXACT_N, largest="n counted exactly")
         rows, last = [(n, count_closed_form(n))], n
     else:
         rows, last = enumerate(islice(tree_counts(), upto), 1), upto
@@ -107,7 +103,7 @@ def _cmd_count(n, upto, format) -> None:
 
 def _cmd_approx(n, compare) -> None:
     if compare:
-        _check_exact(n)
+        _check_size(n, most=_MAX_EXACT_N, largest="n counted exactly")
     try:
         ln_approx = stirling_log_approx(n)
     except OverflowError:  # n above 2^1024 does not convert to a float
@@ -128,8 +124,7 @@ def _cmd_enumerate(n) -> None:
 
 
 def _cmd_sample(n, count, seed) -> None:
-    if n > _MAX_SAMPLE_N:
-        raise ValueError(f"n={n} is above {_MAX_SAMPLE_N}, the largest n sampled")
+    _check_size(n, most=_MAX_SAMPLE_N, largest="n sampled")
     if seed is None:
         # os.urandom is the source of secrets.randbits, which imports re,
         # hashlib, hmac and base64 besides
@@ -148,7 +143,7 @@ def _cmd_series(terms) -> None:
 
 def _cmd_param(n, toll) -> None:
     # the mean in lowest terms without a Fraction: the total and t_n once each
-    _check_exact(n)
+    _check_size(n, most=_MAX_EXACT_N, largest="n counted exactly")
     total = toll_by_name(toll).total(n)
     t = count_closed_form(n)
     g = math.gcd(total, t)

@@ -54,13 +54,15 @@ class _Record(tuple):
         return f"{type(self).__name__}({fields})"
 
 
-def _check_size(n: int, what: str = "n", least: int | None = 1) -> None:
-    """Refuse a size ``n`` that is not an int (a bool is one) with ``TypeError``,
-    or one below ``least`` with ``ValueError``; ``least=None`` checks the type only."""
+def _check_size(n: int, what: str = "n", least: int = 1, most: int | None = None,
+                largest: str = "") -> None:
+    """TypeError for a non-int ``n`` (a bool is one); ValueError below ``least``, above ``most``."""
     if not isinstance(n, int):
         raise TypeError(f"{what} must be an int, got {type(n).__name__}")
-    if least is not None and n < least:
+    if n < least:
         raise ValueError(f"{what} must be at least {least}, got {n}")
+    if most is not None and n > most:
+        raise ValueError(f"{what}={n} is above {most}, the largest {largest}")
 
 
 class CountTable(_Record):

@@ -62,17 +62,17 @@ random = _Deferred("_random")
 
 
 class SamplerState:
-    """A random stream seeded by an int.
+    """A random stream seeded by an int of at least 0.
 
-    Any other seed is refused with ``TypeError``: ``_random`` would seed a
-    str by its salted hash, and None by OS entropy, so neither reproduces.
-    Single-owner mutable: each draw advances the stream.  Distinct states
-    can be used concurrently.  A state pickles and deep-copies with its
-    stream's position, so a copy draws what the original would draw next.
+    A negative seed is refused with ``ValueError`` and any other with
+    ``TypeError``: ``_random`` would seed -s as s, a str by its salted hash and
+    None by OS entropy.  Single-owner mutable: each draw advances the stream.
+    Distinct states can be used concurrently.  A state pickles and deep-copies
+    with its stream's position: a copy draws what the original would draw next.
     """
 
     def __init__(self, seed: int):
-        _check_size(seed, "seed", least=None)
+        _check_size(seed, "seed", 0)
         self.seed = seed
         self.rng = random.Random(seed)
 

@@ -83,6 +83,11 @@ class DepTree:
             return NotImplemented
         return serialize(self) < serialize(other)
 
+    def __le__(self, other):
+        if not isinstance(other, DepTree):
+            return NotImplemented
+        return serialize(self) <= serialize(other)
+
     def __repr__(self):
         text = serialize(self)
         if len(text) > 48:

@@ -335,11 +335,7 @@ def run_verification(oracle_limit: int = 8, series_terms: int = 64) -> list[Chec
     work, ``oracle_limit`` as the oracle refuses a size.
     """
     _check_oracle_size(oracle_limit, "oracle_limit")
-    counting._check_size(series_terms, "series_terms")
-    if series_terms > MAX_SERIES_TERMS:
-        raise ValueError(
-            f"series_terms={series_terms} is above {MAX_SERIES_TERMS}, the largest order checked"
-        )
+    counting._check_size(series_terms, "series_terms", 1, MAX_SERIES_TERMS, "order checked")
     table = counting.build_count_table(max(series_terms, oracle_limit))
     sizes = range(1, max(oracle_limit, SAMPLER_EXACT_LIMIT) + 1)
     trees = [None, *(list(tree_texts(n)) for n in sizes)]

@@ -39,6 +39,7 @@ from deptrees import (
     counting,
     mean_parameter,
     relative_error,
+    sampler,
     toll_by_name,
     verification,
 )
@@ -364,6 +365,17 @@ class TestSample:
             assert run_cli(capsys, "sample", str(n)) == (
                 1, "", f"error: n={n} is above 1000000, the largest n sampled\n"
             )
+
+    def test_a_negative_seed_is_refused_before_any_draw(self, capsys, monkeypatch):
+        # _random seeds -s as s: --seed -5 would print the trees of --seed 5
+        class Unloaded:
+            def __getattr__(self, attr):
+                raise AssertionError("a draw started")
+
+        monkeypatch.setattr(sampler, "random", Unloaded())
+        assert run_cli(capsys, "sample", "5", "--seed", "-5") == (
+            1, "", "error: seed must be at least 0, got -5\n"
+        )
 
     def test_the_bound_itself_is_accepted(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "sample_text", lambda n, state: "tree")
@@ -780,7 +792,7 @@ class TestStartup:
         "argv",
         [
             ("sample", "300", "--seed", "1", "--count", "3"),
-            ("sample", "5", "--seed", "-5"),
+            ("sample", "5", "--seed", "0"),
             ("param", "--toll", "unit", "50"),
             ("verify", "--oracle-limit", "4", "--series-terms", "8"),
             ("series", "--terms", "8"),

@@ -28,6 +28,7 @@ from deptrees import (
     stirling_log_approx,
     toll_by_name,
 )
+from deptrees.counting import _check_size
 from deptrees.verification import convolution_table, lagrange_coefficient
 
 # first entries of A006013 and its sequence-of-forests companion
@@ -75,6 +76,16 @@ class TestSizeCheck:
         entry(True)
         with pytest.raises(ValueError, match="must be at least 1, got False"):
             entry(False)
+
+    def test_a_size_above_its_bound_is_refused(self):
+        # the bounds of count n, sample and verify --series-terms
+        _check_size(10, "k", 1, 10, "k tried")
+        with pytest.raises(ValueError, match="^k=11 is above 10, the largest k tried$"):
+            _check_size(11, "k", 1, 10, "k tried")
+        # the type is checked before either bound
+        for bad in (11.0, 0.5):
+            with pytest.raises(TypeError, match="^k must be an int, got float$"):
+                _check_size(bad, "k", 1, 10, "k tried")
 
 
 class TestCountTable:

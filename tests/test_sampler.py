@@ -136,6 +136,13 @@ class TestDeterminism:
         with pytest.raises(TypeError, match=f"seed must be an int, got {kind}"):
             SamplerState(seed)
 
+    def test_a_negative_seed_is_refused(self):
+        # _random seeds -s as s, so a negative seed would draw another's stream
+        for seed in (-1, -(2**70)):
+            with pytest.raises(ValueError, match=f"^seed must be at least 0, got {seed}$"):
+                SamplerState(seed)
+        assert SamplerState(0).stars(40) == sorted(random.Random(0).sample(range(118), 39))
+
     @pytest.mark.parametrize(
         "duplicate", [lambda state: pickle.loads(pickle.dumps(state)), copy.deepcopy]
     )
@@ -185,8 +192,9 @@ class TestRandomModule:
     def test_stars_are_random_sample_bit_for_bit(self, seed, n):
         # stars runs random.sample's pool loop on the same bits, so a seed
         # gives the trees it gave through random.sample, and leaves the
-        # stream where random.sample left it
-        state = SamplerState(seed)
+        # stream where random.sample left it.  A negative seed is refused,
+        # and the stream it drew, _random's seed of -seed, is drawn from -seed
+        state = SamplerState(seed if seed >= 0 else -seed)
         reference = random.Random(seed)
         assert state.stars(n) == sorted(reference.sample(range(3 * n - 2), n - 1))
         assert state.rng.getrandbits(64) == reference.getrandbits(64)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import copy
 import gc
+import operator
 import pickle
 import tracemalloc
 import weakref
@@ -107,6 +108,21 @@ class TestDepTree:
         trees = enumerate_trees(4)
         assert trees == sorted(trees)
         assert serialize(trees[0]) == min(serialize(t) for t in trees)
+
+    def test_every_comparison_is_the_order_of_the_serializations(self):
+        trees = enumerate_trees(4)
+        for a in trees:
+            for b in trees:
+                x, y = serialize(a), serialize(b)
+                assert (a < b, a <= b, a > b, a >= b) == (x < y, x <= y, x > y, x >= y)
+
+    @pytest.mark.parametrize("other", ["[|]", 1, None])
+    def test_a_tree_does_not_compare_with_a_non_tree(self, other):
+        for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError):
+                compare(LEAF, other)
+            with pytest.raises(TypeError):
+                compare(other, LEAF)
 
     def test_repr_short_and_truncated(self):
         assert repr(LEAF) == "<DepTree [|]>"
