@@ -208,7 +208,7 @@ COMMANDS = {
             "n": ("positive", None, None, "tree size"),
             "--count": ("positive", "K", 1, "number of trees"),
             "--seed": ("int", "SEED", None,
-                       "64-bit seed; omitted means entropy, echoed to stderr"),
+                       "an int of at least 0; omitted means an entropy seed, echoed to stderr"),
         },
         (("n",),),
     ),

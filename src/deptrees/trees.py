@@ -14,13 +14,12 @@ defines the total order on trees.  All traversals in this module use
 explicit stacks, so chains thousands of nodes deep are safe.
 
 Exhaustive enumeration is capped at ``DEFAULT_ORACLE_LIMIT`` = 10, where
-there are already 690690 trees; it exists as ground truth for the
-formula-based modules, not as a production path.  :func:`tree_texts` walks
-the grammar, yielding the strings in sorted order without holding them;
-objects are built afresh on each call, and only where asked.  Per call on a
-2-vCPU VM (tracemalloc peak), exhausting ``tree_texts`` took 0.009 / 0.039 /
-0.18 s (0.3 / 0.7 / 1.7 MiB) at n = 8 / 9 / 10, and ``enumerate_trees``
-0.06 / 0.42 / 3.2 s (6 / 35 / 206 MiB).
+there are already 690690 trees; it is ground truth for the formula-based
+modules, not a production path.  :func:`tree_texts` walks the grammar,
+yielding the sorted strings without holding them; each call builds its own
+objects.  Per call on a 2-vCPU VM (tracemalloc peak), exhausting
+``tree_texts`` took 0.009 / 0.039 / 0.18 s (0.3 / 0.7 / 1.7 MiB) at n = 8 /
+9 / 10, and ``enumerate_trees`` 0.03 / 0.20 / 2.1 s (3 / 16 / 93 MiB).
 """
 from .counting import _check_size
 
@@ -200,9 +199,14 @@ def parse_forest(s: str) -> Forest:
 # The strings come from a depth-first walk of the grammar: a prefix leaves
 # pending closers and r nodes to place, and the next byte is "[" (pushing
 # "|]") or the top closer, never the root's "]" while r > 0.  "[" < "]" < "|",
-# so trying "[" first yields each string once, in sorted order.  Objects come
-# from cross products over the unique splits of a tree into its left and right
-# forests and of a forest by its first tree; a sort puts each size in order.
+# so trying "[" first yields each string once, in sorted order.  The objects
+# come from the class construction, whose nested cross products that order
+# already sorts.  A tree [L|R] sorts first by L, then by R.  A forest sorts
+# first by its first tree, then by the rest: tree strings are prefix-free, so
+# two different first trees differ inside the shorter one.  In both cases a
+# forest comes before its own prefixes, as "[" sorts before "|" and "]", so
+# the empty forest comes last.  Two forests of one size are never prefixes of
+# one another, so keeping one size keeps string order.
 
 
 def _walk(prefix: str, closers: str, r: int, tails: dict | None):
@@ -223,29 +227,19 @@ def _walk(prefix: str, closers: str, r: int, tails: dict | None):
             stack.append((prefix + "[", "|]" + closers, r - 1))
 
 
-def _forests_of(m: int, trees: list, forests: list) -> list:
-    """Sorted (string, forest) pairs of size m from the trees of sizes 1..m
-    and the forests of sizes 0..m-1."""
-    if m == 0:
-        return [("", ())]
-    return sorted(
-        (first + rest, (tree,) + forest)
-        for k in range(1, m + 1) for first, tree in trees[k] for rest, forest in forests[m - k]
-    )
+def _forests(m: int) -> list:
+    """``forests[k]`` for k = 0..m: every forest of size at most k as a (forest,
+    size) pair, in canonical order; ``_trees`` pairs the trees the same way."""
+    forests = [[((), 0)]]
+    for k in range(1, m + 1):
+        forests.append([((tree,) + rest, s + j)
+                        for tree, s in _trees(forests, k) for rest, j in forests[k - s]] + forests[0])
+    return forests
 
 
-def _oracle(n: int) -> tuple[list, list]:
-    """Sorted (string, object) pairs of the trees of sizes 1..n (``trees[k]``)
-    and of the forests of sizes 0..n-1 (``forests[m]``)."""
-    trees: list = [None]
-    forests: list = []
-    for k in range(n):
-        forests.append(_forests_of(k, trees, forests))
-        trees.append(sorted(
-            ("[" + left + "|" + right + "]", DepTree(lefts, rights))
-            for i in range(k + 1) for left, lefts in forests[i] for right, rights in forests[k - i]
-        ))
-    return trees, forests
+def _trees(forests: list, k: int) -> list:
+    return [(DepTree(left, right), 1 + i + j)
+            for left, i in forests[k - 1] for right, j in forests[k - 1 - i]]
 
 
 def _check_oracle_size(n: int, what: str = "n", least: int = 1) -> None:
@@ -269,10 +263,15 @@ def enumerate_trees(n: int) -> list[DepTree]:
     unbounded enumeration is never what you want by accident.
     """
     _check_oracle_size(n)
-    return [tree for _, tree in _oracle(n)[0][n]]
+    forests = _forests(n - 1)
+    return [DepTree(left, right)
+            for left, i in forests[n - 1] for right, j in forests[n - 1 - i] if i + j == n - 1]
 
 
 def enumerate_forests(m: int) -> list[Forest]:
     """Every forest of total size ``m``, sorted by concatenated serialization."""
     _check_oracle_size(m, "m", 0)
-    return [forest for _, forest in _forests_of(m, *_oracle(m))]
+    if not m:
+        return [()]
+    forests = _forests(m - 1)
+    return [(tree,) + rest for tree, s in _trees(forests, m) for rest, j in forests[m - s] if s + j == m]

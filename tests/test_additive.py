@@ -210,7 +210,7 @@ class TestEnumerationRoute:
         def no_enumeration(*args):
             raise AssertionError("enumeration started")
 
-        monkeypatch.setattr(trees, "_oracle", no_enumeration)
+        monkeypatch.setattr(trees, "_forests", no_enumeration)
         internal = TollSpec("internal", lambda t: 1 if t.left or t.right else 0)
         with pytest.raises(OracleLimitError):
             cumulative_by_enumeration(toll_by_name("leaf"), 11)

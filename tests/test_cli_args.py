@@ -58,7 +58,7 @@ def reference_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=_positive_int)
     p.add_argument("--count", type=_positive_int, default=1, metavar="K")
     p.add_argument("--seed", type=int, default=None,
-                   help="64-bit seed; omitted means entropy, echoed to stderr")
+                   help="an int of at least 0; omitted means an entropy seed, echoed to stderr")
 
     p = sub.add_parser("series", help="coefficients of the tree GF T(z)")
     p.add_argument("--terms", type=_positive_int, default=16, metavar="N")

@@ -3,8 +3,9 @@
 Covers: construction and the serialization-backed dunders (which refuse a
 child that is not a tree), iterative size/subtree walks, the canonical
 grammar (round trips and byte-exact error offsets), exhaustive enumeration
-against the known counts, the grammar walk against the serialized objects
-(forests included) and its traced peak, the enumeration limit, checked
+against the known counts, the construction's order over mixed sizes, the
+grammar walk against the serialized objects (forests included), the traced
+peaks of the walk and of the objects, the enumeration limit, checked
 when an entry point is called, that nothing outlives a call, and
 deep-chain safety (no recursion anywhere).
 """
@@ -34,7 +35,7 @@ from deptrees import (
     serialize_forest,
     size,
 )
-from deptrees.trees import iter_subtrees, tree_texts
+from deptrees.trees import _forests, iter_subtrees, tree_texts
 
 LEAF = DepTree()
 
@@ -269,6 +270,27 @@ class TestEnumeration:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20, f"{peak / 2**20:.1f} MiB"
+
+    def test_the_objects_hold_no_strings(self):
+        # pairing each object with its string and sorting peaked at 35.5 MiB
+        tracemalloc.start()
+        try:
+            trees = enumerate_trees(9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(trees) == 120175
+        assert peak < 24 * 2**20, f"{peak / 2**20:.1f} MiB"
+
+    def test_the_construction_is_in_string_order(self):
+        # mixed sizes too: a forest sorts before its own prefixes, so the
+        # key closes each string with "|", which sorts after "["
+        for m in range(7):
+            forests = _forests(m)[m]
+            keys = [serialize_forest(forest) + "|" for forest, _ in forests]
+            assert keys == sorted(set(keys))
+            assert [j for _, j in forests] == [sum(map(size, forest)) for forest, _ in forests]
+            assert len(forests) == sum(SMALL_S[:m + 1])
 
     def test_nothing_retained_between_calls(self):
         trees = enumerate_trees(6)
