@@ -24,7 +24,7 @@ from .additive import builtin_tolls, toll_by_name
 from .counting import (_check_size, count_closed_form, relative_error_of, stirling_log_approx,
                        tree_counts)
 from .sampler import SamplerState, sample_text
-from .trees import tree_texts
+from .trees import tree_runs
 from .verification import run_verification
 
 #: round(log10(27/4) * 10^330): n * this / 10^330 is n log10(27/4) to within
@@ -67,7 +67,9 @@ def _decimal_form(n: int) -> str:
 
 def _write_lines(lines) -> None:
     """Write each string of ``lines`` and a newline, a block at a time: a block
-    is written once it holds ``_BLOCK_CHARS`` characters."""
+    is written once it holds ``_BLOCK_CHARS`` characters.  An item may be a
+    newline-joined run of lines; each write still ends on an item, and holds
+    less than the bound plus its last chunk."""
     lines = iter(lines)
     block, chars, take = [], 0, 1
     while chunk := list(islice(lines, take)):
@@ -120,7 +122,7 @@ def _cmd_approx(n, compare) -> None:
 
 
 def _cmd_enumerate(n) -> None:
-    _write_lines(tree_texts(n))
+    _write_lines(tree_runs(n))
 
 
 def _cmd_sample(n, count, seed) -> None:

@@ -43,6 +43,7 @@ from deptrees import (
     toll_by_name,
     verification,
 )
+from deptrees.trees import tree_runs
 
 GOLDEN = Path(__file__).parent / "golden"
 PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494459230781")
@@ -522,11 +523,11 @@ class Recorder:
         pass
 
 
-def blocks_of(lines, bound):
-    """``lines`` joined into blocks, each cut after the line that brings it to ``bound``."""
+def blocks_of(items, bound):
+    """``items`` joined into blocks, each cut after the item that brings it to ``bound``."""
     blocks, block = [], ""
-    for line in lines:
-        block += line
+    for item in items:
+        block += item
         if len(block) >= bound:
             blocks.append(block)
             block = ""
@@ -553,7 +554,10 @@ class TestOutput:
         monkeypatch.setattr(sys, "stdout", recorder)
         assert cli.main(list(argv)) == 0
         writes = recorder.writes
-        blocks = blocks_of(out.splitlines(keepends=True), 24)
+        items = out.splitlines(keepends=True)
+        if argv[0] == "enumerate":  # the writer takes a run of trees as one item
+            items = [run + "\n" for run in tree_runs(int(argv[1]))]
+        blocks = blocks_of(items, 24)
         assert "".join(writes) == out
         assert writes == blocks
         assert writes[0].count("\n") > header  # a header shares the first block

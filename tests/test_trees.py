@@ -4,10 +4,11 @@ Covers: construction and the serialization-backed dunders (which refuse a
 child that is not a tree), iterative size/subtree walks, the canonical
 grammar (round trips and byte-exact error offsets), exhaustive enumeration
 against the known counts, the construction's order over mixed sizes, the
-grammar walk against the serialized objects (forests included), the traced
-peaks of the walk and of the objects, the enumeration limit, checked
-when an entry point is called, that nothing outlives a call, and
-deep-chain safety (no recursion anywhere).
+grammar walk against the serialized objects (forests included), its runs
+against the object oracle and their number, the traced peaks of the walk
+and of the objects, the enumeration limit, checked when an entry point is
+called, that nothing outlives a call, and deep-chain safety (no recursion
+in the tree model).
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ from deptrees import (
     serialize_forest,
     size,
 )
-from deptrees.trees import _forests, iter_subtrees, tree_texts
+from deptrees.trees import _forests, iter_subtrees, tree_runs, tree_texts
 
 LEAF = DepTree()
 
@@ -262,14 +263,24 @@ class TestEnumeration:
 
     def test_the_walk_holds_no_size(self):
         # the oracle's lists of every smaller size took 85 MiB here
-        tracemalloc.start()
-        try:
-            for _ in tree_texts(10):
-                pass
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * 2**20, f"{peak / 2**20:.1f} MiB"
+        for walk in (tree_texts, tree_runs):
+            tracemalloc.start()
+            try:
+                for _ in walk(10):
+                    pass
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 2**20, f"{walk.__name__}: {peak / 2**20:.1f} MiB"
+
+    def test_the_runs_are_the_serialized_objects_in_few_items(self):
+        # each run is one string to the writer: a run per tree would be
+        # 690690 items at n = 10, and no faster than tree_texts
+        for n in range(1, 9):
+            assert "\n".join(tree_runs(n)) == "\n".join(map(serialize, enumerate_trees(n)))
+        runs = list(tree_runs(10))
+        assert all(runs)
+        assert len(runs) <= build_count_table(10).tree_count(10) // 20
 
     def test_the_objects_hold_no_strings(self):
         # pairing each object with its string and sorting peaked at 35.5 MiB
