@@ -39,10 +39,6 @@ _LOG10_GROWTH = int(
 #: a system call each under PYTHONUNBUFFERED, and a line of t_n holds about
 #: 0.83 n digits, so a block bounded by lines would hold no bounded memory
 _BLOCK_CHARS = 1 << 17
-#: most lines ``_write_lines`` takes at once: a chunk is sized at the last
-#: line's width, and lines of counts grow by about 0.83 digits each, so an
-#: uncapped chunk would take all 26 M characters of ``count --upto 8000``
-_CHUNK_LINES = 256
 #: largest n whose exact t_n (about 0.83 n digits) ``count n``, ``approx n
 #: --compare`` and ``param`` compute: math.comb's cost grows about
 #: quadratically, 0.6 / 2.4 / 5.8 s at n = 1 / 2 / 3 * 10^5
@@ -67,22 +63,18 @@ def _decimal_form(n: int) -> str:
 
 def _write_lines(lines) -> None:
     """Write each string of ``lines`` and a newline, a block at a time: a block
-    is written once it holds ``_BLOCK_CHARS`` characters.  An item may be a
-    newline-joined run of lines; each write still ends on an item, and holds
-    less than the bound plus its last chunk."""
-    lines = iter(lines)
-    block, chars, take = [], 0, 1
-    while chunk := list(islice(lines, take)):
-        block.append("\n".join(chunk) + "\n")
-        chars += len(block[-1])
-        if chars >= _BLOCK_CHARS:
-            sys.stdout.write("".join(block))
-            block, chars = [], 0
-        # as many lines of the last one's width as fill half the room left:
-        # a chunk is joined in C and seldom reaches the bound
-        take = min(_CHUNK_LINES, (_BLOCK_CHARS - chars) // (2 * len(chunk[-1]) + 2)) or 1
+    is written on the item that brings it to ``_BLOCK_CHARS`` characters.  An
+    item may be a newline-joined run of lines; each write ends on an item and
+    holds less than the bound plus that item."""
+    block = ""
+    for line in lines:
+        # linear: CPython grows a str that only this frame holds in place
+        block += line + "\n"
+        if len(block) >= _BLOCK_CHARS:
+            sys.stdout.write(block)
+            block = ""
     if block:
-        sys.stdout.write("".join(block))
+        sys.stdout.write(block)
 
 
 def _cmd_count(n, upto, format) -> None:

@@ -7,14 +7,15 @@ series-terms checks of ``verify``, the up-front size bound of ``count n``,
 ``approx --compare`` and ``param``, the ``approx`` line against a
 ``Decimal`` reference up to n = 2^1023, ``param`` at large n with no table
 or series, ``param`` and ``approx --compare`` computing each big number
-once, block writes of line output bounded by characters and taken in capped
-chunks, one write for a short output, ``main`` restoring the int-to-str
-limit, ``count --upto`` and ``series`` streaming with no table, the
-``python -m deptrees`` entry, the BrokenPipe path of ``run()`` under
-``python -m`` and bare, the console-script mapping in ``pyproject.toml``,
-what a cold ``import deptrees.cli`` and a cold request load, the seed of a
-cold seedless ``sample``, and a cold help and usage error.  The argv parser
-itself is tested against argparse in ``test_cli_args.py``.
+once, block writes of line output, each cut after the item that brings it
+to a bound in characters, one write for a short output, ``main`` restoring
+the int-to-str limit, ``count --upto`` and ``series`` streaming with no
+table, the ``python -m deptrees`` entry, the BrokenPipe path of ``run()``
+under ``python -m`` and bare, the console-script mapping in
+``pyproject.toml``, what a cold ``import deptrees.cli`` and a cold request
+load, the seed of a cold seedless ``sample``, and a cold help and usage
+error.  The argv parser itself is tested against argparse in
+``test_cli_args.py``.
 """
 from __future__ import annotations
 
@@ -25,7 +26,6 @@ import os
 import subprocess
 import sys
 from decimal import ROUND_FLOOR, Decimal, localcontext
-from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -563,6 +563,16 @@ class TestOutput:
         assert writes[0].count("\n") > header  # a header shares the first block
         assert len(blocks) < len(out.splitlines())
 
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_runs_are_written_in_blocks_at_the_real_bound(self, monkeypatch, n):
+        # runs are 299-2549 characters at n = 8 and up to 5207 at n = 10, so
+        # no one run's width tells how many runs fill a block
+        recorder = Recorder()
+        monkeypatch.setattr(sys, "stdout", recorder)
+        assert cli.main(["enumerate", str(n)]) == 0
+        items = [run + "\n" for run in tree_runs(n)]
+        assert recorder.writes == blocks_of(items, cli._BLOCK_CHARS)
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -641,31 +651,20 @@ class TestOutput:
             assert n <= lines // per_row + 1, f"a block written after {n} counts"
 
     def test_a_block_is_written_once_it_reaches_the_bound(self, monkeypatch):
-        # short lines size the next chunk, so longer lines after them carry a
-        # block past the bound, by less than that chunk
+        # short lines before long ones: each block is cut after the line that
+        # brings it to the bound, so it overshoots by less than that line
         lines = ["a" * 3] * 20 + ["b" * 30] * 10 + ["c"] * 5 + ["d" * 120] * 2
-        chunks = []
-
-        def recording(iterable, take):
-            chunks.append(list(islice(iterable, take)))
-            return chunks[-1]
-
-        monkeypatch.setattr(cli, "islice", recording)
-        recorder = Recorder(chunks)
+        recorder = Recorder()
         monkeypatch.setattr(cli, "_BLOCK_CHARS", 50)
         monkeypatch.setattr(sys, "stdout", recorder)
         cli._write_lines(iter(lines))
-        assert "".join(recorder.writes) == "".join(line + "\n" for line in lines)
+        assert recorder.writes == blocks_of([line + "\n" for line in lines], 50)
         assert len(recorder.writes) > 2
-        assert any(len(chunks[n - 1]) > 1 for n in recorder.drawn_at[:-1])
-        for text, n in zip(recorder.writes[:-1], recorder.drawn_at):
-            last = "\n".join(chunks[n - 1]) + "\n"
-            assert text.endswith(last) and 50 <= len(text) < 50 + len(last), text
 
-    def test_a_chunk_of_growing_lines_is_capped(self, capsys, monkeypatch):
-        # a chunk is sized at the last line's width, and a line of t_n grows
-        # with n: uncapped, the first chunk took all 2000 counts, where the
-        # first block ends near count 560
+    def test_growing_lines_are_written_as_they_come(self, capsys, monkeypatch):
+        # a line of t_n grows with n, and each block is written on the count
+        # that brings it to the bound, before the next count is drawn: the
+        # first block ends near count 560 of 2000
         code, out, _ = run_cli(capsys, "count", "--upto", "2000")
         assert code == 0
         drawn = []
@@ -684,7 +683,7 @@ class TestOutput:
         lines = 0
         for n, text in zip(recorder.drawn_at, recorder.writes):
             lines += text.count("\n")
-            assert n <= lines + cli._CHUNK_LINES, f"a block written after {n} counts"
+            assert n <= lines + 1, f"a block written after {n} counts"
 
 
 class TestDispatch:
