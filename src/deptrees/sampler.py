@@ -11,13 +11,16 @@ exactly n of the binom(3n-2, n-1) subsets as preimages.  A uniform
 subset therefore gives a uniform tree (Flajolet & Sedgewick, *Analytic
 Combinatorics*, I.5; Devroye, SIAM J. Comput. 2012).
 
-The cost is n-1 bounded draws of random bits, a sort and a linear scan:
-no count table and no big integers.  :func:`sample_text` returns the
-canonical string the map produces; :func:`sample_tree` parses it into a
-:class:`DepTree`.  :func:`sample_forest` draws trees of size m+1 with
-:func:`sample_text` until the root has no right children, and returns the
-root's left forest, a uniform forest of size m; a draw is accepted with
-probability (m+1)/(3m+1) >= 1/3.
+The cost is n-1 bounded draws of random bits, a sort, and two passes
+over the 2n gap counts, one that finds the rotation and one that writes
+its word: no count table, no big integers and no object per node.  At
+n = 10^6 the draw and the sort take most of the time and memory.
+:func:`sample_text` returns the canonical string the map produces;
+:func:`sample_tree` parses it into a :class:`DepTree`.
+:func:`sample_forest` draws trees of size m+1 with :func:`sample_text`
+until the root has no right children, and returns the root's left
+forest, a uniform forest of size m; a draw is accepted with probability
+(m+1)/(3m+1) >= 1/3.
 
 The pseudo-random stream is the stdlib Mersenne Twister, the C
 ``_random.Random`` that :class:`random.Random` extends.  Reproducibility
@@ -44,7 +47,8 @@ It is a module object, as an import would bind, so code that replaces
 counts the bits drawn) still reaches every draw.
 """
 import sys
-from itertools import accumulate
+from _operator import sub  # operator.py only re-exports _operator
+from itertools import count
 
 from .counting import _check_size
 from .trees import DepTree, Forest, parse, parse_forest
@@ -102,27 +106,43 @@ class SamplerState:
 def _tree_from_stars(n: int, stars) -> str:
     """The canonical string of the tree that a sorted (n-1)-subset of
     range(3n-2) encodes; every tree of size n has exactly n preimages."""
-    gaps = [0] * (2 * n)
-    for rank, slot in enumerate(stars):
-        gaps[slot - rank] += 1  # slot - rank bars precede this star
-    nodes = list(zip(gaps[0::2], gaps[1::2]))
-    # prefix sums of (children - 1) end at -1; the word starts just after
-    # the first position where they reach their minimum
-    sums = list(accumulate(a + b - 1 for a, b in nodes))
-    start = (sums.index(min(sums)) + 1) % n
+    gaps = [0] * (2 * n)  # a_1, b_1, ..., a_n, b_n
+    for gap in map(sub, stars, count()):
+        gaps[gap] += 1  # slot - rank bars precede this star
+    # the running sum of (children - 1) over the nodes ends at -1; the word
+    # starts just after the first node where it reaches its minimum
+    pairs = iter(gaps)
+    low = total = start = node = 0
+    for a, b in zip(pairs, pairs):
+        node += 1
+        total += a + b - 1
+        if total < low:
+            low = total
+            start = node
+    start = 2 * (start % n)
     out = []
-    pending = []  # closing tokens and open child slots (None), top last
-    for a, b in nodes[start:] + nodes[:start]:
-        out.append("[")
-        pending.append("]")
-        pending += [None] * b
-        pending.append("|")
-        pending += [None] * a
-        while pending:
-            token = pending.pop()
-            if token is None:
-                break
-            out.append(token)
+    # closing tokens and open child slots (None), top last; the slot that
+    # the next node fills at once is never pushed
+    pending = []
+    pairs = iter(gaps[start:] + gaps[:start])
+    for a, b in zip(pairs, pairs):
+        if a:  # the next node is its first left child
+            out.append("[")
+            pending.append("]")
+            pending += [None] * b
+            pending.append("|")
+            pending += [None] * (a - 1)
+        elif b:  # the next node is its first right child
+            out.append("[|")
+            pending.append("]")
+            pending += [None] * (b - 1)
+        else:  # a leaf: close up to the next open slot
+            out.append("[|]")
+            while pending:
+                token = pending.pop()
+                if token is None:
+                    break
+                out.append(token)
     return "".join(out)
 
 

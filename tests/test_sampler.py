@@ -9,7 +9,9 @@ the accepted subsets), with no statistics involved.  A chi-square smoke
 test, determinism checks (a pickled or deep-copied state resumes the
 stream), depth safety and range checks round it out,
 with the contract that a ``random`` module put on the sampler after the
-import serves every draw.
+import serves every draw.  The decoder is held to a plainer reference
+decoder, which builds a tuple per node and pushes every child slot, on
+every subset at small sizes and on seeded subsets up to 10^5.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ import pickle
 import random
 import types
 from collections import Counter
-from itertools import combinations
+from itertools import accumulate, chain, combinations
 
 import pytest
 
@@ -46,6 +48,42 @@ def star_subsets(n: int):
     return combinations(range(3 * n - 2), n - 1)
 
 
+def stars_of(word) -> list[int]:
+    """The sorted star slots whose gaps are the child counts (a, b) of
+    ``word``, node by node: the inverse of the decoder's gap count."""
+    stars = []
+    for gap, k in enumerate(chain.from_iterable(word)):
+        stars += range(gap + len(stars), gap + len(stars) + k)
+    return stars
+
+
+def reference_tree_from_stars(n: int, stars) -> str:
+    """The canonical string of the tree that a sorted (n-1)-subset of
+    range(3n-2) encodes; every tree of size n has exactly n preimages."""
+    gaps = [0] * (2 * n)
+    for rank, slot in enumerate(stars):
+        gaps[slot - rank] += 1  # slot - rank bars precede this star
+    nodes = list(zip(gaps[0::2], gaps[1::2]))
+    # prefix sums of (children - 1) end at -1; the word starts just after
+    # the first position where they reach their minimum
+    sums = list(accumulate(a + b - 1 for a, b in nodes))
+    start = (sums.index(min(sums)) + 1) % n
+    out = []
+    pending = []  # closing tokens and open child slots (None), top last
+    for a, b in nodes[start:] + nodes[:start]:
+        out.append("[")
+        pending.append("]")
+        pending += [None] * b
+        pending.append("|")
+        pending += [None] * a
+        while pending:
+            token = pending.pop()
+            if token is None:
+                break
+            out.append(token)
+    return "".join(out)
+
+
 class TestExactUniformity:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_tree_paths(self, n):
@@ -64,6 +102,25 @@ class TestExactUniformity:
         assert set(hits.values()) == {m + 1}
         accepted = sum(hits.values())
         assert accepted * (3 * m + 1) == (accepted + rejected) * (m + 1)
+
+
+class TestReferenceDecoder:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_every_subset(self, n):
+        for stars in star_subsets(n):
+            assert _tree_from_stars(n, stars) == reference_tree_from_stars(n, stars), stars
+
+    @pytest.mark.parametrize("n", [10**3, 10**4, 10**5])
+    def test_seeded_subsets(self, n):
+        for seed in range(5):
+            stars = SamplerState(seed).stars(n)
+            assert _tree_from_stars(n, stars) == reference_tree_from_stars(n, stars), seed
+
+    def test_a_range_input(self):
+        # any sorted iterable of slots: all stars first, all last, and spread
+        n = 50
+        for stars in (range(n - 1), range(2 * n - 1, 3 * n - 2), range(1, 3 * n - 2, 3)):
+            assert _tree_from_stars(n, stars) == reference_tree_from_stars(n, stars), stars
 
 
 class TestStatisticalUniformity:
@@ -227,6 +284,22 @@ class TestShapes:
         # stars at 0, 3, 6, ... give every node one left child: a chain
         n = 5000
         assert _tree_from_stars(n, range(0, 3 * (n - 1), 3)) == "[" * n + "|]" * n
+
+    @pytest.mark.parametrize(
+        "shape",
+        ["left chain", "right chain", "root with left leaves", "root with right leaves"],
+    )
+    def test_extreme_shapes_rotated(self, shape):
+        # each word rotated by n // 3 nodes, so the decoder must find its start
+        n = 2 * 10**5
+        word, expected = {
+            "left chain": ([(1, 0)] * (n - 1) + [(0, 0)], "[" * n + "|]" * n),
+            "right chain": ([(0, 1)] * (n - 1) + [(0, 0)], "[|" * n + "]" * n),
+            "root with left leaves": ([(n - 1, 0)] + [(0, 0)] * (n - 1), "[" + "[|]" * (n - 1) + "|]"),
+            "root with right leaves": ([(0, n - 1)] + [(0, 0)] * (n - 1), "[|" + "[|]" * (n - 1) + "]"),
+        }[shape]
+        rotated = word[n // 3 :] + word[: n // 3]
+        assert _tree_from_stars(n, stars_of(rotated)) == expected
 
     def test_large_n_needs_no_table(self):
         assert size(sample_tree(5000, SamplerState(8))) == 5000

@@ -1,8 +1,8 @@
 """Verification suite tests.
 
 Covers: the suite passing on a healthy build, structured results, one
-count table, one walk of each oracle size and one cumulative GF kernel
-per run, fault injection through a wrong derivative, through a corrupted
+count table, one walk of each oracle size, every star subset of each
+size to 6 fed to the sampler, and one cumulative GF kernel per run, fault injection through a wrong derivative, through a corrupted
 count table (both directly and through the CLI), through a wrong
 closed-form additive total, an oracle missing or repeating a tree or off
 its forest tally, and a wrong string fold, and through samplers that are
@@ -77,6 +77,22 @@ class TestHealthyRun:
             assert all(r.passed for r in results)
             assert len(tables) == 1
             assert sorted(walked) == list(range(1, max(oracle_limit, 6) + 1))
+
+    def test_every_star_subset_reaches_the_sampler(self, monkeypatch):
+        # n t_n draws and one more that finds the subsets used up, at each
+        # n <= 6 whatever the oracle limit: 1 + 4 + 21 + 120 + 715 + 4368
+        # subsets and 6 more calls
+        real = verification.sample_text
+        for oracle_limit in (2, 7):
+            calls = []
+
+            def counted(n, state):
+                calls.append(n)
+                return real(n, state)
+
+            monkeypatch.setattr(verification, "sample_text", counted)
+            assert sampler_result(run_verification(oracle_limit=oracle_limit, series_terms=8)).passed
+            assert len(calls) == 5235
 
     def test_one_kernel_per_check(self, monkeypatch):
         # the additive check forms one kernel K = C(E = 1) in each form, which
