@@ -19,12 +19,12 @@ Exhaustive enumeration is capped at ``DEFAULT_ORACLE_LIMIT`` = 10, where
 there are already 690690 trees; it is ground truth for the formula-based
 modules, not a production path.  :func:`tree_runs` walks the grammar and
 yields the sorted strings in runs, each a few of them newline-joined,
-without holding them; :func:`tree_texts` splits the runs into strings, and
-the CLI's ``enumerate`` writes them whole.  Each call builds its own
-objects.  Per call on a 2-vCPU VM (tracemalloc peak), exhausting
-``tree_runs`` took 0.003 / 0.008 / 0.04 s (0.2 / 0.5 / 1.2 MiB) at n = 8 /
-9 / 10, ``tree_texts`` 0.006 / 0.018 / 0.10 s (0.2 / 0.5 / 1.2 MiB), and
-``enumerate_trees`` 0.03 / 0.20 / 2.1 s (3 / 16 / 93 MiB).
+without holding them; :func:`tree_texts` splits the runs into strings, the
+CLI's ``enumerate`` writes them whole, and ``verify`` tallies them.  Each
+call builds its own objects.  Per call on a 2-vCPU VM (tracemalloc peak),
+exhausting ``tree_runs`` took 0.003 / 0.008 / 0.04 s (0.2 / 0.5 / 1.2 MiB)
+at n = 8 / 9 / 10, ``tree_texts`` 0.006 / 0.018 / 0.10 s (0.2 / 0.5 / 1.2
+MiB), and ``enumerate_trees`` 0.03 / 0.20 / 2.1 s (3 / 16 / 93 MiB).
 """
 from itertools import chain
 

@@ -25,20 +25,26 @@ no production path; they exist here only as check routes.  1/(1-3T) is
 formed once per run, as the additive check's kernel K.
 
 :func:`run_verification` builds one count table, the production route's,
-walks each oracle size once, hands each check the part it reads, and names
-the ``(passed, detail)`` pair the check returns.  Used by the CLI verify
+and walks each oracle size once, as the runs of
+:func:`~deptrees.trees.tree_runs`.  It tallies each size as the runs come:
+how many strings, whether they strictly increase, across runs too, how many
+end in "|]", and each builtin toll's fold, which adds up over a
+newline-joined run.  Only the sizes the sampler check reads, up to
+``SAMPLER_EXACT_LIMIT``, are held as strings, so no larger size is ever
+held.  It hands each check the part it reads and names the
+``(passed, detail)`` pair the check returns.  Used by the CLI verify
 subcommand; it returns structured results so callers decide presentation
 and exit codes.  A check that raises is reported as a failure, not
 propagated: the suite must survive a corrupted table, which tests make by
 patching ``counting.build_count_table``.
 """
-from itertools import combinations, islice
+from itertools import chain, combinations
 from _operator import add, mul  # operator.py only re-exports _operator
 
 from . import counting
 from .additive import builtin_tolls
 from .sampler import sample_text
-from .trees import _check_oracle_size, tree_texts
+from .trees import _check_oracle_size, tree_runs
 
 #: largest ``series_terms``.  The count check convolves to that order in
 #: O(N^2) big-int products and the series checks multiply series of that
@@ -156,7 +162,8 @@ def lagrange_coefficient(n: int) -> int:
 
 def _size_fold(text: str) -> int:
     # c(t) for e = |t| is the sum of the depths of the nodes, counting the
-    # root as 1: the nesting depth just after each node's "["
+    # root as 1: the nesting depth just after each node's "[".  Each tree
+    # closes at depth 0, so over a newline-joined run it sums the trees' folds
     total = depth = 0
     for ch in text:
         if ch == "[":
@@ -168,7 +175,8 @@ def _size_fold(text: str) -> int:
 
 
 #: builtin toll name -> c(t) read off the canonical string of t, with no
-#: tree object: a route shared with neither the GF nor the closed forms
+#: tree object: a route shared with neither the GF nor the closed forms.
+#: Each fold of a newline-joined run is the sum of its strings' folds
 _TOLL_FOLDS = {
     "unit": lambda text: text.count("["),
     "leaf": lambda text: text.count("[|]"),
@@ -211,11 +219,39 @@ _TOLL_GFS = {
 }
 
 
-def _increasing(texts: list[str]) -> bool:
-    return all(map(str.__lt__, texts, islice(texts, 1, None)))
+class _Tally(counting._Record):
+    """One oracle size, walked once: how many strings, whether each is above
+    the one before, how many end in "|]", each builtin toll's total, and the
+    strings themselves for a size the sampler check reads (else None)."""
+
+    __slots__ = ()
+    _fields = ("count", "increasing", "forests", "totals", "texts")
+
+    def __new__(cls, count: int, increasing: bool, forests: int, totals: dict, texts):
+        return tuple.__new__(cls, (count, increasing, forests, totals, texts))
 
 
-def _check_counts(table: counting.CountTable, trees: list) -> tuple[bool, str]:
+def _tally(runs, keep: bool) -> _Tally:
+    """Tally one size from its runs as they come, holding its strings only if ``keep``."""
+    count = forests = 0
+    totals = dict.fromkeys(_TOLL_FOLDS, 0)
+    increasing, last, held = True, "", []
+    for run in runs:
+        texts = run.split("\n")
+        count += len(texts)
+        # each string above the one before, the last of the previous run too
+        increasing = increasing and all(map(str.__lt__, chain((last,), texts), texts))
+        last = texts[-1]
+        # every string but the last is followed by its newline
+        forests += run.count("|]\n") + run.endswith("|]")
+        for name, fold in _TOLL_FOLDS.items():
+            totals[name] += fold(run)
+        if keep:
+            held += texts
+    return _Tally(count, increasing, forests, totals, held if keep else None)
+
+
+def _check_counts(table: counting.CountTable, tallies: list) -> tuple[bool, str]:
     conv = convolution_table(table.n_max)
     for n in range(1, table.n_max + 1):
         a = table.tree_count(n)
@@ -229,19 +265,19 @@ def _check_counts(table: counting.CountTable, trees: list) -> tuple[bool, str]:
             return False, f"m={m}: forest table {table.forest_count(m)}, convolution {conv.s[m]}"
     # t_n strictly increasing strings are t_n distinct trees, and those that
     # end in "|]" are the distinct forests of size n - 1, one root above each
-    for n in range(1, len(trees)):
-        if len(trees[n]) != table.tree_count(n) or not _increasing(trees[n]):
+    for n in range(1, len(tallies)):
+        if tallies[n].count != table.tree_count(n) or not tallies[n].increasing:
             return False, (
                 f"enumeration at n={n} is not {table.tree_count(n)} distinct sorted trees"
             )
-    for m in range(len(trees) - 1):
-        if sum(text.endswith("|]") for text in trees[m + 1]) != table.forest_count(m):
+    for m in range(len(tallies) - 1):
+        if tallies[m + 1].forests != table.forest_count(m):
             return False, (
                 f"enumeration at m={m} is not {table.forest_count(m)} distinct sorted forests"
             )
     return True, (
         f"four routes agree for n=1..{table.n_max}, forests to m={table.n_max}, "
-        f"enumeration to n={len(trees) - 1}"
+        f"enumeration to n={len(tallies) - 1}"
     )
 
 
@@ -259,7 +295,7 @@ def _check_series(t: tuple) -> tuple[bool, str]:
     return True, f"functional and derivative identities hold to order {T.order}"
 
 
-def _check_additive(t: tuple, trees: list) -> tuple[bool, str]:
+def _check_additive(t: tuple, tallies: list) -> tuple[bool, str]:
     T = PowerSeries(t)
     # every toll's C is E K: one kernel K, its two forms compared once to order N
     K = cumulative_gf(1, T)
@@ -270,14 +306,14 @@ def _check_additive(t: tuple, trees: list) -> tuple[bool, str]:
         for n in range(1, T.order + 1):
             if toll.total(n) != c[n]:
                 return False, f"toll {toll.name}, n={n}: closed form {toll.total(n)} vs GF {c[n]}"
-    for n in range(1, len(trees)):
+    for n in range(1, len(tallies)):
         for toll, c in gfs:
-            direct = sum(map(_TOLL_FOLDS[toll.name], trees[n]))
+            direct = tallies[n].totals[toll.name]
             if c[n] != direct:
                 return False, f"toll {toll.name}, n={n}: GF {c[n]} vs oracle {direct}"
     return True, (
         f"closed forms, both GF forms and oracle totals agree "
-        f"(order {T.order}, oracle n<={len(trees) - 1})"
+        f"(order {T.order}, oracle n<={len(tallies) - 1})"
     )
 
 
@@ -331,18 +367,23 @@ def run_verification(oracle_limit: int = 8, series_terms: int = 64) -> list[Chec
 
     The table runs to ``max(series_terms, oracle_limit)``, and the series
     checks read T(z) off all of it, so the additive check has a GF
-    coefficient for every oracle size.  Both bounds are refused before any
-    work, ``oracle_limit`` as the oracle refuses a size.
+    coefficient for every oracle size.  Each size 1..max(oracle_limit,
+    ``SAMPLER_EXACT_LIMIT``) is walked once and tallied as its runs come;
+    the count and additive checks read the tallies to ``oracle_limit``, and
+    the sampler check the strings held for the sizes to
+    ``SAMPLER_EXACT_LIMIT``.  Both bounds are refused before any work,
+    ``oracle_limit`` as the oracle refuses a size.
     """
     _check_oracle_size(oracle_limit, "oracle_limit")
     counting._check_size(series_terms, "series_terms", 1, MAX_SERIES_TERMS, "order checked")
     table = counting.build_count_table(max(series_terms, oracle_limit))
     sizes = range(1, max(oracle_limit, SAMPLER_EXACT_LIMIT) + 1)
-    trees = [None, *(list(tree_texts(n)) for n in sizes)]
-    to_limit = trees[: oracle_limit + 1]
+    tallies = [None, *(_tally(tree_runs(n), n <= SAMPLER_EXACT_LIMIT) for n in sizes)]
+    to_limit = tallies[: oracle_limit + 1]
+    held = [None, *(tally.texts for tally in tallies[1 : SAMPLER_EXACT_LIMIT + 1])]
     return [
         _guarded("count-agreement", _check_counts, table, to_limit),
         _guarded("series-identity", _check_series, table.t),
         _guarded("additive-agreement", _check_additive, table.t, to_limit),
-        _guarded("sampler-exact", _check_sampler, trees[: SAMPLER_EXACT_LIMIT + 1]),
+        _guarded("sampler-exact", _check_sampler, held),
     ]

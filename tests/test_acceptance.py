@@ -21,8 +21,14 @@ from deptrees import (
     relative_error,
 )
 from deptrees.counting import SINGULARITY_FLOAT
-from deptrees.trees import tree_texts
-from deptrees.verification import _check_additive, _check_counts, _check_sampler, _check_series
+from deptrees.trees import tree_runs, tree_texts
+from deptrees.verification import (
+    _check_additive,
+    _check_counts,
+    _check_sampler,
+    _check_series,
+    _tally,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -32,7 +38,12 @@ RATIO_GAP_TOL_AT_2000 = Fraction(52, 10000)  # measured ~5.0597e-03
 
 
 def oracle(n: int) -> list:
-    """The string lists of the trees of sizes 1..n, as ``run_verification`` builds them."""
+    """The tallies of the trees of sizes 1..n, as ``run_verification`` makes them."""
+    return [None, *(_tally(tree_runs(k), False) for k in range(1, n + 1))]
+
+
+def held(n: int) -> list:
+    """The string lists of the trees of sizes 1..n, which the sampler check reads."""
     return [None, *(list(tree_texts(k)) for k in range(1, n + 1))]
 
 
@@ -114,7 +125,7 @@ class TestAcceptance:
 
     def test_criterion_08_sampler_uniformity(self):
         started = time.monotonic()
-        passed, detail = _check_sampler(oracle(7))
+        passed, detail = _check_sampler(held(7))
         verdict(8, passed, f"exact uniformity, no statistics: {detail}", started)
 
     def test_criterion_09_numeric_branch(self):

@@ -311,7 +311,7 @@ class TestVerify:
         def refuse(*args, **kwargs):
             raise RuntimeError("enumeration started")
 
-        monkeypatch.setattr(verification, "tree_texts", refuse)
+        monkeypatch.setattr(verification, "tree_runs", refuse)
         code, out, err = run_cli(capsys, "verify", "--oracle-limit", "11")
         assert (code, out) == (1, "")
         # the very line that enumerate 11 prints

@@ -1,24 +1,27 @@
 """Verification suite tests.
 
 Covers: the suite passing on a healthy build, structured results, one
-count table, one walk of each oracle size, every star subset of each
-size to 6 fed to the sampler, and one cumulative GF kernel per run, fault injection through a wrong derivative, through a corrupted
+count table, one walk of each oracle size with no size held, every star
+subset of each size to 6 fed to the sampler, and one cumulative GF kernel
+per run, fault injection through a wrong derivative, through a corrupted
 count table (both directly and through the CLI), through a wrong
-closed-form additive total, an oracle missing or repeating a tree or off
-its forest tally, and a wrong string fold, and through samplers that are
-biased, draw from the wrong slot range, skip draws or ignore their
-stream, crash containment inside checks, parameter validation, and the
-series helper of the sequence-form cumulative GF.
+closed-form additive total, an oracle missing or repeating a tree, off
+its forest tally or out of order across two runs, and a wrong string
+fold, and through samplers that are biased, draw from the wrong slot
+range, skip draws or ignore their stream, crash containment inside
+checks, parameter validation, and the series helper of the sequence-form
+cumulative GF.
 """
 from __future__ import annotations
 
+import tracemalloc
 from itertools import combinations, cycle
 
 import pytest
 
 from deptrees import CheckResult, CountTable, TollSpec, build_count_table, run_verification
 from deptrees import cli, counting, verification
-from deptrees.trees import OracleLimitError, tree_texts
+from deptrees.trees import OracleLimitError, tree_runs, tree_texts
 
 
 def corrupt(table: CountTable, n: int, delta: int = 1) -> CountTable:
@@ -59,7 +62,7 @@ class TestHealthyRun:
     def test_one_table_and_one_oracle_pass(self, monkeypatch):
         # each size 1..max(L, 6) is walked exactly once: the sampler check
         # reads the sizes to 6 whatever the oracle limit L
-        real_table, real_walk = counting.build_count_table, verification.tree_texts
+        real_table, real_walk = counting.build_count_table, verification.tree_runs
         for oracle_limit in (4, 7):
             tables, walked = [], []
 
@@ -72,11 +75,23 @@ class TestHealthyRun:
                 return real_walk(n)
 
             monkeypatch.setattr(counting, "build_count_table", table)
-            monkeypatch.setattr(verification, "tree_texts", walk)
+            monkeypatch.setattr(verification, "tree_runs", walk)
             results = run_verification(oracle_limit=oracle_limit, series_terms=16)
             assert all(r.passed for r in results)
             assert len(tables) == 1
             assert sorted(walked) == list(range(1, max(oracle_limit, 6) + 1))
+
+    def test_the_oracle_holds_no_size(self):
+        # each size is tallied as its runs come: the 120175 strings of size
+        # 9 alone take about 10 MiB held, and every size to 9 about 12 MiB
+        tracemalloc.start()
+        try:
+            results = run_verification(oracle_limit=9, series_terms=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(r.passed for r in results)
+        assert peak < 2 * 2**20
 
     def test_every_star_subset_reaches_the_sampler(self, monkeypatch):
         # n t_n draws and one more that finds the subsets used up, at each
@@ -206,16 +221,15 @@ class TestFaultInjection:
 
     def test_missing_oracle_tree_detected(self, monkeypatch):
         # the shared oracle loses one size-5 tree: the count falls short,
-        # and every toll's total at n = 5 falls short of the GF
-        real = verification.tree_texts
-
+        # and every toll's total at n = 5 falls short of the GF.  A list of
+        # strings is a stream of one-line runs
         def short(n):
-            texts = list(real(n))
+            texts = list(tree_texts(n))
             if n == 5:
                 del texts[0]
             return iter(texts)
 
-        monkeypatch.setattr(verification, "tree_texts", short)
+        monkeypatch.setattr(verification, "tree_runs", short)
         results = run_verification(oracle_limit=6, series_terms=8)
         by_name = {r.name: r for r in results}
         assert not by_name["additive-agreement"].passed
@@ -238,17 +252,36 @@ class TestFaultInjection:
         # by a byte keeps 143 distinct sorted strings, but only 54 of them end
         # in "|]", a root with no right children above each of the 55 forests
         # of size 4
-        real = verification.tree_texts
-
         def repeating(n):
-            texts = list(real(n))
+            texts = list(tree_texts(n))
             if n == 5:
                 texts[at] = change(texts)
             return iter(texts)
 
-        monkeypatch.setattr(verification, "tree_texts", repeating)
+        monkeypatch.setattr(verification, "tree_runs", repeating)
         results = run_verification(oracle_limit=6, series_terms=8)
         assert results[0] == CheckResult("count-agreement", False, detail)
+
+    @pytest.mark.parametrize("repeat", [False, True], ids=["swapped", "repeated"])
+    def test_order_is_checked_across_runs(self, monkeypatch, repeat):
+        # the last string of one size-5 run and the first of the next trade
+        # places, or the first repeats the last: each run still increases,
+        # and only the boundary between the two is out of order
+        def faulty(n):
+            runs = [run.split("\n") for run in tree_runs(n)]
+            if n == 5:
+                before, after = runs[1], runs[2]
+                if repeat:
+                    after[0] = before[-1]
+                else:
+                    before[-1], after[0] = after[0], before[-1]
+            return ("\n".join(run) for run in runs)
+
+        monkeypatch.setattr(verification, "tree_runs", faulty)
+        results = run_verification(oracle_limit=6, series_terms=8)
+        assert results[0] == CheckResult(
+            "count-agreement", False, "enumeration at n=5 is not 143 distinct sorted trees"
+        )
 
     def test_wrong_string_fold_detected(self, monkeypatch):
         real = verification._TOLL_FOLDS["size"]
@@ -357,7 +390,7 @@ class TestValidation:
         def refuse(*args, **kwargs):
             raise AssertionError("work started")
 
-        monkeypatch.setattr(verification, "tree_texts", refuse)
+        monkeypatch.setattr(verification, "tree_runs", refuse)
         monkeypatch.setattr(counting, "build_count_table", refuse)
         with pytest.raises(OracleLimitError) as exc_info:
             run_verification(oracle_limit=11)
