@@ -44,7 +44,7 @@ _BLOCK_CHARS = 1 << 17
 #: quadratically, 0.6 / 2.4 / 5.8 s at n = 1 / 2 / 3 * 10^5
 _MAX_EXACT_N = 100_000
 #: largest n ``sample`` draws: a tree costs time and memory linear in n,
-#: about 3 s and 240 MB at n = 10^6
+#: a cold ``sample 1000000 --seed 9`` 1.3 s and 154 MB peak RSS (2-vCPU VM)
 _MAX_SAMPLE_N = 1_000_000
 #: about where ln_approx, nearly n ln(27/4), leaves the float range
 _MAX_APPROX_N = sys.float_info.max / math.log(27 / 4)

@@ -39,12 +39,13 @@ Importing ``random`` (with the ``os``, ``bisect``, ``warnings`` and
 ``_sha512`` it pulls in) costs a ``sample`` request about 3-4 ms, and
 only ``_random`` is used; importing even that loads a shared library,
 which a request that draws nothing should not pay for.  So the module
-attribute ``random`` is a stand-in module whose attributes are those of
-``_random``, which its first lookup, in :class:`SamplerState`, imports.
-It is a module object, as an import would bind, so code that replaces
-``sampler.random`` after the import with one whose ``Random`` is a
-``random.Random`` subclass (the benchmark's tracer swaps in one that
-counts the bits drawn) still reaches every draw.
+attribute ``random`` is a plain stand-in module whose own ``__getattr__``
+(PEP 562) reads each attribute from ``_random``, which its first lookup,
+in :class:`SamplerState`, imports.  It is a module object, as an import
+would bind, so code that replaces ``sampler.random`` after the import
+with one whose ``Random`` is a ``random.Random`` subclass (the
+benchmark's tracer swaps in one that counts the bits drawn) still
+reaches every draw.
 """
 import sys
 from _operator import sub  # operator.py only re-exports _operator
@@ -53,16 +54,8 @@ from itertools import count
 from .counting import _check_size
 from .trees import DepTree, Forest, parse, parse_forest
 
-
-class _Deferred(type(sys)):
-    """A module whose attributes are those of the module of its name,
-    imported at the first lookup."""
-
-    def __getattr__(self, attr: str):
-        return getattr(__import__(self.__name__), attr)
-
-
-random = _Deferred("_random")
+random = type(sys)("_random")
+random.__getattr__ = lambda attr: getattr(__import__("_random"), attr)
 
 
 class SamplerState:

@@ -19,15 +19,13 @@ Exhaustive enumeration is capped at ``DEFAULT_ORACLE_LIMIT`` = 10, where
 there are already 690690 trees; it is ground truth for the formula-based
 modules, not a production path.  :func:`tree_runs` walks the grammar and
 yields the sorted strings in runs, each a few of them newline-joined,
-without holding them; :func:`tree_texts` splits the runs into strings, the
-CLI's ``enumerate`` writes them whole, and ``verify`` tallies them.  Each
-call builds its own objects.  Per call on a 2-vCPU VM (tracemalloc peak),
-exhausting ``tree_runs`` took 0.003 / 0.008 / 0.04 s (0.2 / 0.5 / 1.2 MiB)
-at n = 8 / 9 / 10, ``tree_texts`` 0.006 / 0.018 / 0.10 s (0.2 / 0.5 / 1.2
-MiB), and ``enumerate_trees`` 0.03 / 0.20 / 2.1 s (3 / 16 / 93 MiB).
+without holding them; it is the one way strings leave the walk.  The CLI's
+``enumerate`` writes the runs whole, ``verify`` tallies them, and a reader
+that wants single strings splits them.  Each call builds its own objects.
+Per call on a 2-vCPU VM (tracemalloc peak), exhausting ``tree_runs`` took
+0.003 / 0.008 / 0.04 s (0.2 / 0.5 / 1.2 MiB) at n = 8 / 9 / 10, and
+``enumerate_trees`` 0.03 / 0.20 / 2.1 s (3 / 16 / 93 MiB).
 """
-from itertools import chain
-
 from .counting import _check_size
 
 DEFAULT_ORACLE_LIMIT = 10
@@ -278,13 +276,6 @@ def tree_runs(n: int):
     :func:`enumerate_trees`, before the first run."""
     _check_oracle_size(n)
     return _walk(n)
-
-
-def tree_texts(n: int):
-    """An iterator over the canonical string of every tree of size ``n``, in
-    sorted order: the runs of :func:`tree_runs` split into strings.  A bad
-    ``n`` is refused when it is called, as there."""
-    return chain.from_iterable(run.split("\n") for run in tree_runs(n))
 
 
 def enumerate_trees(n: int) -> list[DepTree]:

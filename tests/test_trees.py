@@ -36,7 +36,7 @@ from deptrees import (
     serialize_forest,
     size,
 )
-from deptrees.trees import _forests, iter_subtrees, tree_runs, tree_texts
+from deptrees.trees import _forests, iter_subtrees, tree_runs
 
 LEAF = DepTree()
 
@@ -250,7 +250,7 @@ class TestEnumeration:
         # root has no right children: its string ends in "|]"
         table = build_count_table(9)
         for n in range(1, 10):
-            texts = list(tree_texts(n))
+            texts = "\n".join(tree_runs(n)).split("\n")
             assert texts == [serialize(t) for t in enumerate_trees(n)]
             assert all(a < b for a, b in zip(texts, texts[1:]))
             assert len(texts) == table.tree_count(n)
@@ -259,23 +259,22 @@ class TestEnumeration:
             assert len(forests) == table.forest_count(n - 1)
 
     def test_the_walk_starts_at_the_left_chain(self):
-        assert next(tree_texts(10)) == "[" * 10 + "|]" * 10
+        assert next(tree_runs(10)).split("\n")[0] == "[" * 10 + "|]" * 10
 
     def test_the_walk_holds_no_size(self):
         # the oracle's lists of every smaller size took 85 MiB here
-        for walk in (tree_texts, tree_runs):
-            tracemalloc.start()
-            try:
-                for _ in walk(10):
-                    pass
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 16 * 2**20, f"{walk.__name__}: {peak / 2**20:.1f} MiB"
+        tracemalloc.start()
+        try:
+            for _ in tree_runs(10):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, f"{peak / 2**20:.1f} MiB"
 
     def test_the_runs_are_the_serialized_objects_in_few_items(self):
         # each run is one string to the writer: a run per tree would be
-        # 690690 items at n = 10, and no faster than tree_texts
+        # 690690 items at n = 10
         for n in range(1, 9):
             assert "\n".join(tree_runs(n)) == "\n".join(map(serialize, enumerate_trees(n)))
         runs = list(tree_runs(10))
@@ -313,7 +312,7 @@ class TestEnumeration:
     def test_domain_errors(self):
         # the walk checks exactly as the object entry points do, when it is
         # called: these calls start no iteration
-        for trees in (enumerate_trees, tree_texts):
+        for trees in (enumerate_trees, tree_runs):
             with pytest.raises(ValueError, match="n must be at least 1, got 0"):
                 trees(0)
             # 2.5 passed the range check once, and the walk never ended
@@ -325,7 +324,7 @@ class TestEnumeration:
             enumerate_forests(1.5)
 
     def test_oracle_limit(self):
-        for trees in (enumerate_trees, tree_texts):
+        for trees in (enumerate_trees, tree_runs):
             with pytest.raises(OracleLimitError) as exc_info:
                 trees(DEFAULT_ORACLE_LIMIT + 1)
             assert exc_info.value.limit == DEFAULT_ORACLE_LIMIT

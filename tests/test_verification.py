@@ -21,7 +21,7 @@ import pytest
 
 from deptrees import CheckResult, CountTable, TollSpec, build_count_table, run_verification
 from deptrees import cli, counting, verification
-from deptrees.trees import OracleLimitError, tree_runs, tree_texts
+from deptrees.trees import OracleLimitError, tree_runs
 
 
 def corrupt(table: CountTable, n: int, delta: int = 1) -> CountTable:
@@ -224,7 +224,7 @@ class TestFaultInjection:
         # and every toll's total at n = 5 falls short of the GF.  A list of
         # strings is a stream of one-line runs
         def short(n):
-            texts = list(tree_texts(n))
+            texts = "\n".join(tree_runs(n)).split("\n")
             if n == 5:
                 del texts[0]
             return iter(texts)
@@ -253,7 +253,7 @@ class TestFaultInjection:
         # in "|]", a root with no right children above each of the 55 forests
         # of size 4
         def repeating(n):
-            texts = list(tree_texts(n))
+            texts = "\n".join(tree_runs(n)).split("\n")
             if n == 5:
                 texts[at] = change(texts)
             return iter(texts)
@@ -371,7 +371,7 @@ class TestFaultInjection:
 
         def ignoring(n, state):
             if n not in cycles:
-                cycles[n] = cycle(tree_texts(n))
+                cycles[n] = cycle("\n".join(tree_runs(n)).split("\n"))
             return next(cycles[n])
 
         monkeypatch.setattr(verification, "sample_text", ignoring)
