@@ -21,8 +21,6 @@ is summed over the enumeration oracle, within its size limit.  Both GF forms
 of C live in :mod:`deptrees.verification`, which checks the closed forms
 against them and them against the oracle.
 """
-from math import comb
-
 from .counting import _Record, _check_size, count_closed_form
 from .trees import DepTree, enumerate_trees, iter_subtrees, size
 
@@ -64,12 +62,16 @@ def fold_cost(t: DepTree, toll: TollSpec) -> int:
 
 def _unit_total(n: int) -> int:
     _check_size(n)
-    return comb(3 * n - 2, n - 1)
+    import math
+
+    return math.comb(3 * n - 2, n - 1)
 
 
 def _leaf_total(n: int) -> int:
     _check_size(n)
-    return comb(3 * n - 4, n - 1) if n > 1 else 1
+    import math
+
+    return math.comb(3 * n - 4, n - 1) if n > 1 else 1
 
 
 def _size_total(n: int) -> int:

@@ -14,9 +14,11 @@ of every scripted request, is read straight off it (:func:`_direct`), so
 a request imports neither argparse nor the ``re``, ``gettext`` and
 ``locale`` it pulls in, which took longer than the work of a typical
 request.  Everything else (help, abbreviations, ``--`` and every usage
-error) goes to an argparse parser built from the same table.
+error) goes to an argparse parser built from the same table.  Likewise
+``math``, a shared library, is imported only inside the functions that
+compute with it, so ``sample``, ``enumerate``, ``count --upto`` and
+``series`` run without it.
 """
-import math
 import sys
 from itertools import chain, islice
 
@@ -46,13 +48,13 @@ _MAX_EXACT_N = 100_000
 #: largest n ``sample`` draws: a tree costs time and memory linear in n,
 #: a cold ``sample 1000000 --seed 9`` 1.3 s and 154 MB peak RSS (2-vCPU VM)
 _MAX_SAMPLE_N = 1_000_000
-#: about where ln_approx, nearly n ln(27/4), leaves the float range
-_MAX_APPROX_N = sys.float_info.max / math.log(27 / 4)
 
 
 def _decimal_form(n: int) -> str:
     """(27/4)^n / (sqrt(27 pi) n^(3/2)) in scientific notation; the integer part
     of its log10's term n log10(27/4) is exact, so float error does not grow with n."""
+    import math
+
     whole, part = divmod(n * _LOG10_GROWTH, 10**330)
     log10 = part / 10**330 - 1.5 * math.log10(n) - 0.5 * math.log10(27 * math.pi)
     exponent = math.floor(log10)
@@ -98,13 +100,17 @@ def _cmd_count(n, upto, format) -> None:
 def _cmd_approx(n, compare) -> None:
     if compare:
         _check_size(n, most=_MAX_EXACT_N, largest="n counted exactly")
+    import math
+
     try:
         ln_approx = stirling_log_approx(n)
     except OverflowError:  # n above 2^1024 does not convert to a float
         ln_approx = math.inf
     if ln_approx == math.inf:
+        # about where ln_approx, nearly n ln(27/4), leaves the float range
+        largest = sys.float_info.max / math.log(27 / 4)
         raise ValueError(
-            f"n={n} is above about {_MAX_APPROX_N:.1e}, the largest n whose ln_approx is finite"
+            f"n={n} is above about {largest:.1e}, the largest n whose ln_approx is finite"
         )
     lines = [f"n {n}", f"ln_approx {ln_approx!r}", f"approx {_decimal_form(n)}"]
     if compare:
@@ -138,6 +144,8 @@ def _cmd_series(terms) -> None:
 def _cmd_param(n, toll) -> None:
     # the mean in lowest terms without a Fraction: the total and t_n once each
     _check_size(n, most=_MAX_EXACT_N, largest="n counted exactly")
+    import math
+
     total = toll_by_name(toll).total(n)
     t = count_closed_form(n)
     g = math.gcd(total, t)

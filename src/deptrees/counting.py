@@ -20,12 +20,8 @@ error, and :func:`eval_T_numeric`, the branch through 0 of T(1-T)^2 = z on
 [0, 4/27] by Viete's root T = (4/3) sin^2(a/3), where sin a = sqrt(27 z)/2:
 with s = sin(a/3), sin a = 3s - 4s^3 gives T (1-T)^2 = (4/27) sin^2 a = z.
 """
-import math
 from itertools import islice
 from _operator import itemgetter  # operator.py only re-exports _operator
-
-_AMPLITUDE_LOG = -0.5 * math.log(27.0 * math.pi)
-_LOG_GROWTH = math.log(6.75)
 
 #: Dominant singularity of T(z) as a float; the numeric domain boundary.
 SINGULARITY_FLOAT = 4.0 / 27.0
@@ -125,6 +121,8 @@ def build_count_table(n_max: int) -> CountTable:
 def count_closed_form(n: int) -> int:
     """Exact t_n = binom(3n-2, n-1) / n; the division is checked exact."""
     _check_size(n)
+    import math
+
     q, r = divmod(math.comb(3 * n - 2, n - 1), n)
     assert r == 0, f"n={n} does not divide binom(3n-2, n-1)"
     return q
@@ -136,7 +134,9 @@ def stirling_log_approx(n: int) -> float:
     Stays in log space; (27/4)^n itself overflows a float near n = 360.
     """
     _check_size(n)
-    return _AMPLITUDE_LOG - 1.5 * math.log(n) + n * _LOG_GROWTH
+    import math
+
+    return -0.5 * math.log(27.0 * math.pi) - 1.5 * math.log(n) + n * math.log(6.75)
 
 
 def relative_error(n: int) -> float:
@@ -150,6 +150,8 @@ def relative_error_of(ln_approx: float, exact: int) -> float:
     Stays in log space: ``math.log`` takes the int whole, so neither
     approx(n) nor t_n is formed as a float (both overflow near n = 360).
     """
+    import math
+
     return math.expm1(ln_approx - math.log(exact))
 
 
@@ -164,5 +166,7 @@ def eval_T_numeric(z: float) -> float:
     """
     if not 0.0 <= z <= SINGULARITY_FLOAT:
         raise ValueError(f"z={z!r} outside [0, 4/27]: beyond the dominant singularity")
+    import math
+
     t = 4 / 3 * math.sin(math.asin(min(1.0, math.sqrt(27 * z) / 2)) / 3) ** 2
     return z / (1 - t) ** 2

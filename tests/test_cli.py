@@ -460,8 +460,8 @@ class TestParam:
             calls.append("t_n")
             return real_count(n)
 
+        # additive and counting import math when they compute, so this reaches them
         monkeypatch.setattr(math, "comb", comb)
-        monkeypatch.setattr(additive, "comb", comb)
         for module in (cli, counting, additive):
             monkeypatch.setattr(module, "count_closed_form", closed_form)
         code, _, _ = run_cli(capsys, "param", "--toll", toll, "40")
@@ -829,6 +829,62 @@ class TestStartup:
         assert layers() <= loaded
         # the first draw loads _random (a shared library), and only a draw does
         assert ("_random" in loaded) == (argv[0] == "sample")
+
+    def test_cold_import_loads_no_math(self):
+        # math is a shared library; each function that computes with it
+        # imports it, so the import alone loads no extension module
+        code = ("import deptrees.cli, sys; print('math' in sys.modules, *(name for name, m in "
+                "sys.modules.items() if str(getattr(m, '__file__', '')).endswith(('.so', '.pyd'))))")
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False"]
+
+    @pytest.mark.parametrize(
+        "argv,loads_math",
+        [
+            (("sample", "30", "--seed", "1"), False),
+            (("enumerate", "4"), False),
+            (("count", "--upto", "5", "--format", "json"), False),
+            (("series", "--terms", "8"), False),
+            # the check can see the module: these compute with it
+            (("count", "5"), True),
+            (("approx", "50", "--compare"), True),
+            (("param", "--toll", "leaf", "20"), True),
+            (("verify", "--oracle-limit", "4", "--series-terms", "8"), True),
+        ],
+    )
+    def test_cold_request_loads_math_only_to_compute_with_it(self, argv, loads_math):
+        # the stars-and-bars sampler and the grammar walk are integer
+        # arithmetic; only the closed forms, Stirling and the checks use math
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", RUN_REPORTING_MODULES, *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout
+        assert ("math" in proc.stderr.split()) == loads_math
+
+    def test_refused_size_loads_no_math(self):
+        # the size check comes before the import
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", RUN_REPORTING_MODULES, "count", "100001"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=child_env(),
+        )
+        assert proc.returncode == 1
+        error, modules = proc.stderr.splitlines()
+        assert error.startswith("error: ") and "math" not in modules.split()
 
     def test_cold_seedless_sample_seeds_from_urandom(self, capsys):
         # secrets.randbits(64) reads the same os.urandom, but secrets imports
