@@ -29,10 +29,10 @@ and walks each oracle size once, as the runs of
 :func:`~deptrees.trees.tree_runs`.  It tallies each size as the runs come:
 how many strings, whether they strictly increase, across runs too, how many
 end in "|]", and each builtin toll's fold, which adds up over a
-newline-joined run.  Only the sizes the sampler check reads, up to
-``SAMPLER_EXACT_LIMIT``, are held as strings, so no larger size is ever
-held.  It hands each check the part it reads and names the
-``(passed, detail)`` pair the check returns.  Used by the CLI verify
+newline-joined run; no string is held.  The sampler check walks its own
+sizes, up to ``SAMPLER_EXACT_LIMIT``, holding one size's strings at a time.
+It hands each check what it reads and names the ``(passed, detail)`` pair
+the check returns.  Used by the CLI verify
 subcommand; it returns structured results so callers decide presentation
 and exit codes.  A check that raises is reported as a failure, not
 propagated: the suite must survive a corrupted table, which tests make by
@@ -221,21 +221,20 @@ _TOLL_GFS = {
 
 class _Tally(counting._Record):
     """One oracle size, walked once: how many strings, whether each is above
-    the one before, how many end in "|]", each builtin toll's total, and the
-    strings themselves for a size the sampler check reads (else None)."""
+    the one before, how many end in "|]", and each builtin toll's total."""
 
     __slots__ = ()
-    _fields = ("count", "increasing", "forests", "totals", "texts")
+    _fields = ("count", "increasing", "forests", "totals")
 
-    def __new__(cls, count: int, increasing: bool, forests: int, totals: dict, texts):
-        return tuple.__new__(cls, (count, increasing, forests, totals, texts))
+    def __new__(cls, count: int, increasing: bool, forests: int, totals: dict):
+        return tuple.__new__(cls, (count, increasing, forests, totals))
 
 
-def _tally(runs, keep: bool) -> _Tally:
-    """Tally one size from its runs as they come, holding its strings only if ``keep``."""
+def _tally(runs) -> _Tally:
+    """Tally one size from its runs as they come, holding none of its strings."""
     count = forests = 0
     totals = dict.fromkeys(_TOLL_FOLDS, 0)
-    increasing, last, held = True, "", []
+    increasing, last = True, ""
     for run in runs:
         texts = run.split("\n")
         count += len(texts)
@@ -246,9 +245,7 @@ def _tally(runs, keep: bool) -> _Tally:
         forests += run.count("|]\n") + run.endswith("|]")
         for name, fold in _TOLL_FOLDS.items():
             totals[name] += fold(run)
-        if keep:
-            held += texts
-    return _Tally(count, increasing, forests, totals, held if keep else None)
+    return _Tally(count, increasing, forests, totals)
 
 
 def _check_counts(table: counting.CountTable, tallies: list) -> tuple[bool, str]:
@@ -329,13 +326,14 @@ class _EverySubset:
         return next(self.subsets)
 
 
-def _check_sampler(trees: list) -> tuple[bool, str]:
+def _check_sampler(limit: int) -> tuple[bool, str]:
     # every tree of size n has exactly n of the binom(3n-2, n-1) = n t_n
     # star subsets as preimages (the cycle lemma), so the real sampler fed
     # each subset once must succeed n t_n times, fail on the next draw, and
     # hit each tree exactly n times
-    for n in range(1, len(trees)):
-        draws = n * len(trees[n])
+    for n in range(1, limit + 1):
+        want = dict.fromkeys("\n".join(tree_runs(n)).split("\n"), n)
+        draws = n * len(want)
         stream = _EverySubset()
         hits = {}
         try:
@@ -346,12 +344,11 @@ def _check_sampler(trees: list) -> tuple[bool, str]:
             pass
         if (drawn := sum(hits.values())) != draws:
             return False, f"n={n}: {drawn} draws succeeded, not {draws}"
-        want = dict.fromkeys(trees[n], n)
         if hits != want:
             off = sum(hits.get(s) != want.get(s) for s in hits.keys() | want.keys())
             return False, f"n={n}: {off} tree(s) off their count of {n}"
     return True, (
-        f"every star subset drawn once: each tree hit exactly n times for n<={len(trees) - 1}"
+        f"every star subset drawn once: each tree hit exactly n times for n<={limit}"
     )
 
 
@@ -367,23 +364,19 @@ def run_verification(oracle_limit: int = 8, series_terms: int = 64) -> list[Chec
 
     The table runs to ``max(series_terms, oracle_limit)``, and the series
     checks read T(z) off all of it, so the additive check has a GF
-    coefficient for every oracle size.  Each size 1..max(oracle_limit,
-    ``SAMPLER_EXACT_LIMIT``) is walked once and tallied as its runs come;
-    the count and additive checks read the tallies to ``oracle_limit``, and
-    the sampler check the strings held for the sizes to
-    ``SAMPLER_EXACT_LIMIT``.  Both bounds are refused before any work,
-    ``oracle_limit`` as the oracle refuses a size.
+    coefficient for every oracle size.  Each size 1..``oracle_limit`` is
+    walked once and tallied as its runs come, for the count and additive
+    checks; the sampler check walks the sizes 1..``SAMPLER_EXACT_LIMIT``
+    itself.  Both bounds are refused before any work, ``oracle_limit`` as
+    the oracle refuses a size.
     """
     _check_oracle_size(oracle_limit, "oracle_limit")
     counting._check_size(series_terms, "series_terms", 1, MAX_SERIES_TERMS, "order checked")
     table = counting.build_count_table(max(series_terms, oracle_limit))
-    sizes = range(1, max(oracle_limit, SAMPLER_EXACT_LIMIT) + 1)
-    tallies = [None, *(_tally(tree_runs(n), n <= SAMPLER_EXACT_LIMIT) for n in sizes)]
-    to_limit = tallies[: oracle_limit + 1]
-    held = [None, *(tally.texts for tally in tallies[1 : SAMPLER_EXACT_LIMIT + 1])]
+    tallies = [None, *(_tally(tree_runs(n)) for n in range(1, oracle_limit + 1))]
     return [
-        _guarded("count-agreement", _check_counts, table, to_limit),
+        _guarded("count-agreement", _check_counts, table, tallies),
         _guarded("series-identity", _check_series, table.t),
-        _guarded("additive-agreement", _check_additive, table.t, to_limit),
-        _guarded("sampler-exact", _check_sampler, held),
+        _guarded("additive-agreement", _check_additive, table.t, tallies),
+        _guarded("sampler-exact", _check_sampler, SAMPLER_EXACT_LIMIT),
     ]

@@ -39,12 +39,7 @@ RATIO_GAP_TOL_AT_2000 = Fraction(52, 10000)  # measured ~5.0597e-03
 
 def oracle(n: int) -> list:
     """The tallies of the trees of sizes 1..n, as ``run_verification`` makes them."""
-    return [None, *(_tally(tree_runs(k), False) for k in range(1, n + 1))]
-
-
-def held(n: int) -> list:
-    """The string lists of the trees of sizes 1..n, which the sampler check reads."""
-    return [None, *("\n".join(tree_runs(k)).split("\n") for k in range(1, n + 1))]
+    return [None, *(_tally(tree_runs(k)) for k in range(1, n + 1))]
 
 
 def verdict(num: int, passed: bool, summary: str, started: float) -> None:
@@ -125,7 +120,7 @@ class TestAcceptance:
 
     def test_criterion_08_sampler_uniformity(self):
         started = time.monotonic()
-        passed, detail = _check_sampler(held(7))
+        passed, detail = _check_sampler(7)
         verdict(8, passed, f"exact uniformity, no statistics: {detail}", started)
 
     def test_criterion_09_numeric_branch(self):

@@ -1,8 +1,9 @@
 """Verification suite tests.
 
 Covers: the suite passing on a healthy build, structured results, one
-count table, one walk of each oracle size with no size held, every star
-subset of each size to 6 fed to the sampler, and one cumulative GF kernel
+count table, one tally of each oracle size and of no other, with no size
+held, every star subset of each size to 6 fed to the sampler, which walks
+those sizes itself whatever the oracle limit, and one cumulative GF kernel
 per run, fault injection through a wrong derivative, through a corrupted
 count table (both directly and through the CLI), through a wrong
 closed-form additive total, an oracle missing or repeating a tree, off
@@ -60,8 +61,8 @@ class TestHealthyRun:
         assert "order 8" in results[1].detail
 
     def test_one_table_and_one_oracle_pass(self, monkeypatch):
-        # each size 1..max(L, 6) is walked exactly once: the sampler check
-        # reads the sizes to 6 whatever the oracle limit L
+        # each size 1..L is walked once for the tallies, and each size 1..6
+        # once more by the sampler check, whatever the oracle limit L
         real_table, real_walk = counting.build_count_table, verification.tree_runs
         for oracle_limit in (4, 7):
             tables, walked = [], []
@@ -79,7 +80,23 @@ class TestHealthyRun:
             results = run_verification(oracle_limit=oracle_limit, series_terms=16)
             assert all(r.passed for r in results)
             assert len(tables) == 1
-            assert sorted(walked) == list(range(1, max(oracle_limit, 6) + 1))
+            assert sorted(walked) == sorted([*range(1, oracle_limit + 1), *range(1, 7)])
+
+    def test_only_the_oracle_sizes_are_tallied(self, monkeypatch):
+        # below the sampler's sizes the tallies stop at L, and the sampler
+        # check still reads every size to 6
+        real, tallied = verification._tally, []
+
+        def counted(runs):
+            tally = real(runs)
+            tallied.append(tally.count)
+            return tally
+
+        monkeypatch.setattr(verification, "_tally", counted)
+        results = run_verification(oracle_limit=2, series_terms=8)
+        assert all(r.passed for r in results), results
+        assert tallied == [1, 2]
+        assert "n<=6" in sampler_result(results).detail
 
     def test_the_oracle_holds_no_size(self):
         # each size is tallied as its runs come: the 120175 strings of size
