@@ -46,7 +46,7 @@ _BLOCK_CHARS = 1 << 17
 #: quadratically, 0.6 / 2.4 / 5.8 s at n = 1 / 2 / 3 * 10^5
 _MAX_EXACT_N = 100_000
 #: largest n ``sample`` draws: a tree costs time and memory linear in n,
-#: a cold ``sample 1000000 --seed 9`` 1.3 s and 154 MB peak RSS (2-vCPU VM)
+#: a cold ``sample 1000000 --seed 9`` 1.2 s and 56 MB peak RSS (2-vCPU VM)
 _MAX_SAMPLE_N = 1_000_000
 
 

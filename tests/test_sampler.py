@@ -19,6 +19,7 @@ import _random
 import copy
 import pickle
 import random
+import tracemalloc
 import types
 from collections import Counter
 from itertools import accumulate, chain, combinations
@@ -55,6 +56,14 @@ def stars_of(word) -> list[int]:
     for gap, k in enumerate(chain.from_iterable(word)):
         stars += range(gap + len(stars), gap + len(stars) + k)
     return stars
+
+
+def assert_stars_are_random_sample(state: SamplerState, seed: int, n: int) -> None:
+    """``state.stars(n)`` draws the subset that ``random.Random(seed)``
+    samples from range(3n-2), and leaves the stream where that left it."""
+    reference = random.Random(seed)
+    assert list(state.stars(n)) == sorted(reference.sample(range(3 * n - 2), n - 1)), (seed, n)
+    assert state.rng.getrandbits(64) == reference.getrandbits(64), (seed, n)
 
 
 def reference_tree_from_stars(n: int, stars) -> str:
@@ -113,7 +122,7 @@ class TestReferenceDecoder:
     @pytest.mark.parametrize("n", [10**3, 10**4, 10**5])
     def test_seeded_subsets(self, n):
         for seed in range(5):
-            stars = SamplerState(seed).stars(n)
+            stars = list(SamplerState(seed).stars(n))
             assert _tree_from_stars(n, stars) == reference_tree_from_stars(n, stars), seed
 
     def test_a_range_input(self):
@@ -198,7 +207,7 @@ class TestDeterminism:
         for seed in (-1, -(2**70)):
             with pytest.raises(ValueError, match=f"^seed must be at least 0, got {seed}$"):
                 SamplerState(seed)
-        assert SamplerState(0).stars(40) == sorted(random.Random(0).sample(range(118), 39))
+        assert list(SamplerState(0).stars(40)) == sorted(random.Random(0).sample(range(118), 39))
 
     @pytest.mark.parametrize(
         "duplicate", [lambda state: pickle.loads(pickle.dumps(state)), copy.deepcopy]
@@ -251,10 +260,19 @@ class TestRandomModule:
         # gives the trees it gave through random.sample, and leaves the
         # stream where random.sample left it.  A negative seed is refused,
         # and the stream it drew, _random's seed of -seed, is drawn from -seed
-        state = SamplerState(seed if seed >= 0 else -seed)
-        reference = random.Random(seed)
-        assert state.stars(n) == sorted(reference.sample(range(3 * n - 2), n - 1))
-        assert state.rng.getrandbits(64) == reference.getrandbits(64)
+        assert_stars_are_random_sample(SamplerState(seed if seed >= 0 else -seed), seed, n)
+
+    def test_stars_are_random_sample_at_every_small_seed(self):
+        # the pool holds 0 for a slot that still holds its own index: at
+        # n = 2..8 these seeds draw slot 0 while it holds 0 and again after a
+        # refill, and refill from slots that do and do not hold a 0
+        for seed in range(200):
+            for n in range(2, 9):
+                assert_stars_are_random_sample(SamplerState(seed), seed, n)
+
+    @pytest.mark.parametrize("seed", [3, 2024])
+    def test_stars_are_random_sample_at_a_large_size(self, seed):
+        assert_stars_are_random_sample(SamplerState(seed), seed, 10**5)
 
 
 class TestShapes:
@@ -300,6 +318,17 @@ class TestShapes:
         }[shape]
         rotated = word[n // 3 :] + word[: n // 3]
         assert _tree_from_stars(n, stars_of(rotated)) == expected
+
+    def test_a_large_draw_holds_no_int_per_slot(self):
+        # a pool of 3n-2 ints and a sorted star list peaked at 12.6 MiB
+        state = SamplerState(1)
+        tracemalloc.start()
+        try:
+            sample_text(10**5, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20, f"{peak / 2**20:.1f} MiB"
 
     def test_large_n_needs_no_table(self):
         assert size(sample_tree(5000, SamplerState(8))) == 5000
