@@ -6,8 +6,9 @@ verification failure, 2 usage error.  Data goes to stdout, diagnostics
 flags; invocations are deterministic given their flags, including --seed.
 
 Every stdout line leaves through one writer, :func:`_write_lines`.  A
-handler returns nothing and fails by raising, so :func:`main` alone sets
-the exit code, and every exit-1 diagnostic is one ``error: `` line.
+handler prints what the library computes and refuses, adds only the bounds
+of costly requests, and fails by raising ValueError, so :func:`main` alone
+sets the exit code, and every exit-1 diagnostic is one ``error: `` line.
 
 The arguments live in one table, :data:`COMMANDS`.  Plain argv, the shape
 of every scripted request, is read straight off it (:func:`_direct`), so
@@ -23,20 +24,12 @@ import sys
 from itertools import chain, islice
 
 from .additive import builtin_tolls, toll_by_name
-from .counting import (_check_size, count_closed_form, relative_error_of, stirling_log_approx,
-                       tree_counts)
+from .counting import (_check_size, _decimal_form, count_closed_form, relative_error_of,
+                       stirling_log_approx, tree_counts)
 from .sampler import SamplerState, sample_text
 from .trees import tree_runs
 from .verification import run_verification
 
-#: round(log10(27/4) * 10^330): n * this / 10^330 is n log10(27/4) to within
-#: 1e-22 for every n < 2^1024, the n that ``stirling_log_approx`` takes
-_LOG10_GROWTH = int(
-    "82930377283102492145760592031635987406400682964787051186874199866147107980213435015"
-    "50505627064765604500251239218941469224993716644086350418716464508051970796707229270"
-    "5112726714571614426322451053358986541012929917338813151834505668279301236494270223"
-    "1138942038296662032940048706930742856066113770041301594481564238908828252371034034"
-)
 #: characters a block reaches before it is written: one write per line costs
 #: a system call each under PYTHONUNBUFFERED, and a line of t_n holds about
 #: 0.83 n digits, so a block bounded by lines would hold no bounded memory
@@ -48,19 +41,6 @@ _MAX_EXACT_N = 100_000
 #: largest n ``sample`` draws: a tree costs time and memory linear in n,
 #: a cold ``sample 1000000 --seed 9`` 1.2 s and 56 MB peak RSS (2-vCPU VM)
 _MAX_SAMPLE_N = 1_000_000
-
-
-def _decimal_form(n: int) -> str:
-    """(27/4)^n / (sqrt(27 pi) n^(3/2)) in scientific notation; the integer part
-    of its log10's term n log10(27/4) is exact, so float error does not grow with n."""
-    import math
-
-    whole, part = divmod(n * _LOG10_GROWTH, 10**330)
-    log10 = part / 10**330 - 1.5 * math.log10(n) - 0.5 * math.log10(27 * math.pi)
-    exponent = math.floor(log10)
-    # round first: a mantissa of 9.9999996 carries into the exponent
-    mantissa, shift = f"{10.0 ** (log10 - exponent):.6e}".split("e")
-    return f"{mantissa}e{whole + exponent + int(shift):+d}"
 
 
 def _write_lines(lines) -> None:
@@ -100,18 +80,7 @@ def _cmd_count(n, upto, format) -> None:
 def _cmd_approx(n, compare) -> None:
     if compare:
         _check_size(n, most=_MAX_EXACT_N, largest="n counted exactly")
-    import math
-
-    try:
-        ln_approx = stirling_log_approx(n)
-    except OverflowError:  # n above 2^1024 does not convert to a float
-        ln_approx = math.inf
-    if ln_approx == math.inf:
-        # about where ln_approx, nearly n ln(27/4), leaves the float range
-        largest = sys.float_info.max / math.log(27 / 4)
-        raise ValueError(
-            f"n={n} is above about {largest:.1e}, the largest n whose ln_approx is finite"
-        )
+    ln_approx = stirling_log_approx(n)
     lines = [f"n {n}", f"ln_approx {ln_approx!r}", f"approx {_decimal_form(n)}"]
     if compare:
         t = count_closed_form(n)
@@ -362,7 +331,7 @@ def main(argv: list[str] | None = None) -> int:
         COMMANDS[command][0](**values)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (ValueError, IndexError, ArithmeticError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

@@ -15,11 +15,13 @@ enumeration at small sizes.  The counts are 1, 2, 7, 30, 143, ... (OEIS
 A006013) and grow like (27/4)^n, so the counting is exact big-integer
 arithmetic.
 
-The float diagnostics are the Stirling approximation with its relative
-error, and :func:`eval_T_numeric`, the branch through 0 of T(1-T)^2 = z on
+The float diagnostics are the Stirling approximation, with its relative
+error and its decimal form (a mantissa and an exact exponent), and
+:func:`eval_T_numeric`, the branch through 0 of T(1-T)^2 = z on
 [0, 4/27] by Viete's root T = (4/3) sin^2(a/3), where sin a = sqrt(27 z)/2:
 with s = sin(a/3), sin a = 3s - 4s^3 gives T (1-T)^2 = (4/27) sin^2 a = z.
 """
+import sys
 from itertools import islice
 from _operator import itemgetter  # operator.py only re-exports _operator
 
@@ -132,11 +134,43 @@ def stirling_log_approx(n: int) -> float:
     """ln of the approximation (27/4)^n / (sqrt(27 pi) n^(3/2)).
 
     Stays in log space; (27/4)^n itself overflows a float near n = 360.
+    An n above about 9.4e307, where the ln (nearly n ln(27/4)) is no longer
+    a finite float, raises ValueError.
     """
     _check_size(n)
     import math
 
-    return -0.5 * math.log(27.0 * math.pi) - 1.5 * math.log(n) + n * math.log(6.75)
+    try:
+        ln_approx = -0.5 * math.log(27.0 * math.pi) - 1.5 * math.log(n) + n * math.log(6.75)
+    except OverflowError:  # n from 2^1024 does not convert to a float
+        ln_approx = math.inf
+    if ln_approx == math.inf:
+        raise ValueError(f"n={n} is above about {sys.float_info.max / math.log(6.75):.1e}, "
+                         "the largest n whose ln_approx is finite")
+    return ln_approx
+
+
+#: round(log10(27/4) * 10^330): n * this / 10^330 is n log10(27/4) to within
+#: 1e-22 for every n below 10^308, which covers the n ``stirling_log_approx`` takes
+_LOG10_GROWTH = int(
+    "82930377283102492145760592031635987406400682964787051186874199866147107980213435015"
+    "50505627064765604500251239218941469224993716644086350418716464508051970796707229270"
+    "5112726714571614426322451053358986541012929917338813151834505668279301236494270223"
+    "1138942038296662032940048706930742856066113770041301594481564238908828252371034034"
+)
+
+
+def _decimal_form(n: int) -> str:
+    """(27/4)^n / (sqrt(27 pi) n^(3/2)) in scientific notation; the integer part
+    of its log10's term n log10(27/4) is exact, so float error does not grow with n."""
+    import math
+
+    whole, part = divmod(n * _LOG10_GROWTH, 10**330)
+    log10 = part / 10**330 - 1.5 * math.log10(n) - 0.5 * math.log10(27 * math.pi)
+    exponent = math.floor(log10)
+    # round first: a mantissa of 9.9999996 carries into the exponent
+    mantissa, shift = f"{10.0 ** (log10 - exponent):.6e}".split("e")
+    return f"{mantissa}e{whole + exponent + int(shift):+d}"
 
 
 def relative_error(n: int) -> float:

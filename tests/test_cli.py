@@ -2,10 +2,11 @@
 
 Covers: golden-file byte matches, every output format, seed handling
 (reproducibility, entropy fallback to stderr), the exit-code contract (0
-success, 1 domain failure, 2 usage), the up-front oracle-limit and
-series-terms checks of ``verify``, the up-front size bound of ``count n``,
-``approx --compare`` and ``param``, the ``approx`` line against a
-``Decimal`` reference up to n = 2^1023, ``param`` at large n with no table
+success, 1 domain failure, 2 usage, and no exit code for a fault), the
+up-front oracle-limit and series-terms checks of ``verify``, the up-front
+size bound of ``count n``, ``approx --compare`` and ``param``, the
+``approx`` line against a ``Decimal`` reference up to n = 2^1023, its
+refusal from about 9.4e307, ``param`` at large n with no table
 or series, ``param`` and ``approx --compare`` computing each big number
 once, block writes of line output, each cut after the item that brings it
 to a bound in characters, one write for a short output, ``main`` restoring
@@ -262,11 +263,6 @@ class TestApprox:
             assert err == (
                 f"error: n={n} is above about 9.4e+307, the largest n whose ln_approx is finite\n"
             )
-
-    def test_log10_growth_is_log10_27_over_4(self):
-        with localcontext() as ctx:
-            ctx.prec = 360
-            assert cli._LOG10_GROWTH == round((Decimal(27) / 4).log10().scaleb(330))
 
     @pytest.mark.parametrize(
         "n", [6236, 134908511, 5 * 10**9, *(10**k for k in range(19)), 10**307, 2**1023]
@@ -696,6 +692,17 @@ class TestDispatch:
     def test_help_exits_zero(self, capsys):
         assert cli.main(["--help"]) == 0
         assert "count" in capsys.readouterr().out
+
+    def test_only_a_value_error_is_a_domain_failure(self, capsys, monkeypatch):
+        # every refusal raises ValueError; anything else is a fault, and
+        # propagates with its traceback rather than as an "error: " line
+        def broken(**values):
+            raise IndexError("a lookup out of range")
+
+        monkeypatch.setitem(cli.COMMANDS, "count", (broken, *cli.COMMANDS["count"][1:]))
+        with pytest.raises(IndexError):
+            cli.main(["count", "3"])
+        assert "error: " not in capsys.readouterr().err
 
     def test_installed_entry_point(self):
         # The installed command and `python -m deptrees` must start the same

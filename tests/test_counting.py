@@ -4,12 +4,14 @@ Covers: the ratio table (each table a prefix of a longer one, its forest
 counts the closed form binom(3m, m)/(2m+1) to its last entry), the closed
 form and the Lagrange extraction against each other and against
 hand-checked values, table range errors, the asymptotic approximation
-(sign, decay, frozen reference points), and the term ratio's march toward
-27/4.
+(sign, decay, frozen reference points, the refusal of an n whose ln is
+not a finite float, the 330-digit log10(27/4) of its decimal form), and
+the term ratio's march toward 27/4.
 """
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import partial
 
@@ -20,6 +22,7 @@ from deptrees import (
     CountTable,
     build_count_table,
     count_closed_form,
+    counting,
     cumulative_by_enumeration,
     enumerate_forests,
     enumerate_trees,
@@ -196,6 +199,31 @@ class TestAsymptotics:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             stirling_log_approx(0)
+
+    def test_the_float_range_bounds_the_sizes_taken(self):
+        # ln_approx, nearly n ln(27/4), rounds to inf from about 9.4e307, and
+        # an n from 2^1024 does not convert to a float; below, a finite float
+        assert stirling_log_approx(10**307) == 1.9095425048844385e307
+        assert stirling_log_approx(2**1023) == 1.7163857258792728e308
+        for n in (10**308, 2**1024):
+            with pytest.raises(ValueError) as refusal:
+                stirling_log_approx(n)
+            assert str(refusal.value) == (
+                f"n={n} is above about 9.4e+307, the largest n whose ln_approx is finite"
+            )
+
+    def test_relative_error_refuses_before_the_binomial(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError("the binomial started")
+
+        monkeypatch.setattr(counting, "count_closed_form", refuse)
+        with pytest.raises(ValueError, match="the largest n whose ln_approx is finite"):
+            relative_error(10**308)
+
+    def test_log10_growth_is_log10_27_over_4(self):
+        with localcontext() as ctx:
+            ctx.prec = 360
+            assert counting._LOG10_GROWTH == round((Decimal(27) / 4).log10().scaleb(330))
 
 
 class TestGrowthRatio:
