@@ -16,12 +16,14 @@ inversion gives the total over the size-n trees for E = F(T) with no series:
     leaf  E = z    F = u(1-u)^2       binom(3n-4, n-1) for n >= 2, 1 at n = 1
     size  E = zT'  F = u(1-u)/(1-3u)  sum over k < n of binom(2n-2+k, k) 3^{n-1-k}
 
-These are the builtins' production route (``TollSpec.total``); a custom toll
-is summed over the enumeration oracle, within its size limit.  Both GF forms
+These are the builtins' production route (``TollSpec.total``): the unit and
+leaf binomials come from :mod:`deptrees.counting`'s prime-power kernel, the
+one that gives t_n, and the size sum from a Horner loop.  A custom toll is
+summed over the enumeration oracle, within its size limit.  Both GF forms
 of C live in :mod:`deptrees.verification`, which checks the closed forms
 against them and them against the oracle.
 """
-from .counting import _Record, _check_size, count_closed_form
+from .counting import _binomial, _Record, _check_size, count_closed_form
 from .trees import DepTree, enumerate_trees, iter_subtrees, size
 
 
@@ -62,16 +64,12 @@ def fold_cost(t: DepTree, toll: TollSpec) -> int:
 
 def _unit_total(n: int) -> int:
     _check_size(n)
-    import math
-
-    return math.comb(3 * n - 2, n - 1)
+    return _binomial(n - 1, 2 * n - 1)
 
 
 def _leaf_total(n: int) -> int:
     _check_size(n)
-    import math
-
-    return math.comb(3 * n - 4, n - 1) if n > 1 else 1
+    return _binomial(n - 1, 2 * n - 3) if n > 1 else 1
 
 
 def _size_total(n: int) -> int:

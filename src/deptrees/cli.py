@@ -17,8 +17,8 @@ a request imports neither argparse nor the ``re``, ``gettext`` and
 request.  Everything else (help, abbreviations, ``--`` and every usage
 error) goes to an argparse parser built from the same table.  Likewise
 ``math``, a shared library, is imported only inside the functions that
-compute with it, so ``sample``, ``enumerate``, ``count --upto`` and
-``series`` run without it.
+compute with it, Stirling's floats and ``param``'s gcd, so every request
+but ``approx`` and ``param`` runs without it.
 """
 import sys
 from itertools import chain, islice
@@ -35,8 +35,10 @@ from .verification import run_verification
 #: 0.83 n digits, so a block bounded by lines would hold no bounded memory
 _BLOCK_CHARS = 1 << 17
 #: largest n whose exact t_n (about 0.83 n digits) ``count n``, ``approx n
-#: --compare`` and ``param`` compute: math.comb's cost grows about
-#: quadratically, 0.6 / 2.4 / 5.8 s at n = 1 / 2 / 3 * 10^5
+#: --compare`` and ``param`` compute.  The binomial kernel takes 0.03 / 0.07 /
+#: 0.10 s at n = 1 / 2 / 3 * 10^5, but writing t_n in decimal grows about
+#: quadratically, 0.12 / 0.47 / 1.0 s, and ``param --toll size`` takes 6.1 s
+#: at 10^5 (2-vCPU VM)
 _MAX_EXACT_N = 100_000
 #: largest n ``sample`` draws: a tree costs time and memory linear in n,
 #: a cold ``sample 1000000 --seed 9`` 1.2 s and 56 MB peak RSS (2-vCPU VM)

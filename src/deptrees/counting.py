@@ -5,7 +5,12 @@ Two production routes give the same numbers:
 * :func:`tree_counts` steps t_1, t_2, ... by the term ratio of their closed
   form, one small multiply and one exact division per term; the CLI
   streams it, and :func:`build_count_table` reads its tables off it,
-* :func:`count_closed_form` evaluates binom(3n-2, n-1) / n directly.
+* :func:`count_closed_form` evaluates binom(3n-2, n-1) / n directly.  The
+  binomial is the product of its prime powers, each exponent the carries
+  of a base-p addition (Kummer): ``_binomial``, the one binomial kernel,
+  which the unit and leaf totals of :mod:`deptrees.additive` read too.
+  It is integer arithmetic only and loads no ``math``; the tests hold it
+  to the standard library's binomial.
 
 The check routes live in :mod:`deptrees.verification`: the convolution
 recurrences that come straight out of the class construction (a tree is
@@ -22,8 +27,8 @@ error and its decimal form (a mantissa and an exact exponent), and
 with s = sin(a/3), sin a = 3s - 4s^3 gives T (1-T)^2 = (4/27) sin^2 a = z.
 """
 import sys
-from itertools import islice
-from _operator import itemgetter  # operator.py only re-exports _operator
+from itertools import compress, islice
+from _operator import itemgetter, mul  # operator.py only re-exports _operator
 
 #: Dominant singularity of T(z) as a float; the numeric domain boundary.
 SINGULARITY_FLOAT = 4.0 / 27.0
@@ -52,15 +57,24 @@ class _Record(tuple):
         return f"{type(self).__name__}({fields})"
 
 
+def _shown(n: int) -> str:
+    """``n`` in decimal for a message; past Python's int-to-str digit limit,
+    which refuses to print it, its size in bits instead."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"<{'a negative' if n < 0 else 'an'} int of {n.bit_length()} bits>"
+
+
 def _check_size(n: int, what: str = "n", least: int = 1, most: int | None = None,
                 largest: str = "") -> None:
     """TypeError for a non-int ``n`` (a bool is one); ValueError below ``least``, above ``most``."""
     if not isinstance(n, int):
         raise TypeError(f"{what} must be an int, got {type(n).__name__}")
     if n < least:
-        raise ValueError(f"{what} must be at least {least}, got {n}")
+        raise ValueError(f"{what} must be at least {least}, got {_shown(n)}")
     if most is not None and n > most:
-        raise ValueError(f"{what}={n} is above {most}, the largest {largest}")
+        raise ValueError(f"{what}={_shown(n)} is above {most}, the largest {largest}")
 
 
 class CountTable(_Record):
@@ -84,12 +98,12 @@ class CountTable(_Record):
 
     def tree_count(self, n: int) -> int:
         if not 1 <= n <= self.n_max:
-            raise IndexError(f"n={n} outside the table range 1..{self.n_max}")
+            raise IndexError(f"n={_shown(n)} outside the table range 1..{self.n_max}")
         return self.t[n]
 
     def forest_count(self, m: int) -> int:
         if not 0 <= m <= self.n_max:
-            raise IndexError(f"m={m} outside the table range 0..{self.n_max}")
+            raise IndexError(f"m={_shown(m)} outside the table range 0..{self.n_max}")
         return self.s[m]
 
 
@@ -120,12 +134,64 @@ def build_count_table(n_max: int) -> CountTable:
     return CountTable(t[:-1], s)
 
 
+#: _WHEEL[k % 30] is 1 exactly when k is prime to 30: a sieve that starts
+#: from it repeated has the multiples of 2, 3 and 5 struck
+_WHEEL = bytes(k % 2 and k % 3 and k % 5 and 1 for k in range(30))
+
+
+def _binomial(a: int, b: int) -> int:
+    """binom(a + b, a) for ints a, b >= 0, as a product of prime powers.
+
+    By Kummer's theorem a prime p divides it as often as adding a and b in
+    base p carries.  Legendre's sum counts those carries, a term per digit;
+    in base 2 each carry turns two 1 bits into one, so a.bit_count() +
+    b.bit_count() - (a+b).bit_count() counts them.  Above the square root of
+    a + b the sum has at most two digits, so a prime divides it at most
+    once: none in ((a+b)/2, max(a, b)] does, each above max(a, b) does, and
+    one in between does when the last digits carry.  The powers are
+    multiplied in a balanced product tree, with no division.
+    """
+    n, m = a + b, max(a, b)
+    if n == m:  # a or b is 0
+        return 1
+    factors = [2 ** (a.bit_count() + b.bit_count() - n.bit_count())]
+    # a sieve of the odd k <= n: once the odd primes up to the square root
+    # have struck their multiples, flags[k] is 1 exactly when k is an odd prime
+    flags = bytearray(_WHEEL) * (n // 30 + 1)
+    flags[:6] = b"\0\0\0\1\0\1"
+    p = 3  # n = 2 has no odd prime
+    # compress reads flags as it goes, so it steps over each multiple struck
+    for p in compress(range(n + 1), flags):
+        if p * p > n:
+            break  # p is the least odd prime above the square root
+        if p > 5:
+            flags[p * p::p] = bytes(len(range(p * p, len(flags), p)))
+        e, q = 0, p
+        while q <= n:
+            e += n // q - a // q - b // q
+            q *= p
+        if e:
+            factors.append(p**e)
+    for q in compress(range(p, n // 2 + 1), flags[p:]):
+        # a + b carries out of the last base-q digit when n's is below a's
+        if n % q < a % q:
+            factors.append(q)
+    factors += compress(range(m + 1, n + 1), flags[m + 1:])
+    if len(factors) <= 32:  # a small binomial: straight, with no rounds
+        product = 1
+        for f in factors:
+            product *= f
+        return product
+    # neighbours round by round, so that each big multiply is of two like halves
+    while len(factors) > 1:
+        factors = [*map(mul, factors[::2], factors[1::2]), *factors[len(factors) & ~1:]]
+    return factors[0]
+
+
 def count_closed_form(n: int) -> int:
     """Exact t_n = binom(3n-2, n-1) / n; the division is checked exact."""
     _check_size(n)
-    import math
-
-    q, r = divmod(math.comb(3 * n - 2, n - 1), n)
+    q, r = divmod(_binomial(n - 1, 2 * n - 1), n)
     assert r == 0, f"n={n} does not divide binom(3n-2, n-1)"
     return q
 
@@ -145,7 +211,7 @@ def stirling_log_approx(n: int) -> float:
     except OverflowError:  # n from 2^1024 does not convert to a float
         ln_approx = math.inf
     if ln_approx == math.inf:
-        raise ValueError(f"n={n} is above about {sys.float_info.max / math.log(6.75):.1e}, "
+        raise ValueError(f"n={_shown(n)} is above about {sys.float_info.max / math.log(6.75):.1e}, "
                          "the largest n whose ln_approx is finite")
     return ln_approx
 

@@ -433,8 +433,8 @@ class TestParam:
             f"{count_closed_form(n) // g}\n"
         )
 
-    @pytest.mark.parametrize("toll,combs", [("unit", 2), ("leaf", 2), ("size", 1)])
-    def test_each_big_number_is_computed_once(self, capsys, monkeypatch, toll, combs):
+    @pytest.mark.parametrize("toll,binomials", [("unit", 2), ("leaf", 2), ("size", 1)])
+    def test_each_big_number_is_computed_once(self, capsys, monkeypatch, toll, binomials):
         # the total once, t_n once, and the mean reduced from those two by a
         # gcd: the same line as the library's Fraction route
         for n in (1, 2, 3, 40, 199):
@@ -446,23 +446,24 @@ class TestParam:
                 f"{mean.numerator},{mean.denominator}\n"
             )
         calls = []
-        real_comb, real_count = math.comb, counting.count_closed_form
+        real_binomial, real_count = counting._binomial, counting.count_closed_form
 
-        def comb(*args):
-            calls.append("comb")
-            return real_comb(*args)
+        def binomial(a, b):
+            calls.append("binomial")
+            return real_binomial(a, b)
 
         def closed_form(n):
             calls.append("t_n")
             return real_count(n)
 
-        # additive and counting import math when they compute, so this reaches them
-        monkeypatch.setattr(math, "comb", comb)
+        # the one binomial kernel, wherever a closed form or a total reads it
+        for module in (counting, additive):
+            monkeypatch.setattr(module, "_binomial", binomial)
         for module in (cli, counting, additive):
             monkeypatch.setattr(module, "count_closed_form", closed_form)
         code, _, _ = run_cli(capsys, "param", "--toll", toll, "40")
         assert code == 0
-        assert (calls.count("t_n"), calls.count("comb")) == (1, combs)
+        assert (calls.count("t_n"), calls.count("binomial")) == (1, binomials)
 
     def test_usage_errors(self, capsys):
         assert run_cli(capsys, "param", "--toll", "depth", "3")[0] == 2
@@ -470,9 +471,32 @@ class TestParam:
         assert run_cli(capsys, "param", "--toll", "leaf", "0")[0] == 2
 
 
+class TestBinomialRoute:
+    def test_no_request_reads_math_comb(self, capsys, monkeypatch):
+        # count n, approx --compare and the unit and leaf totals read the
+        # prime-power kernel; math.comb is only this test's oracle
+        n = 3000
+        unit, leaf = math.comb(3 * n - 2, n - 1), math.comb(3 * n - 4, n - 1)
+        t = unit // n
+
+        def refuse(*args):
+            raise AssertionError("math.comb was called")
+
+        monkeypatch.setattr(math, "comb", refuse)
+        assert run_cli(capsys, "count", str(n)) == (0, f"{t}\n", "")
+        code, out, _ = run_cli(capsys, "approx", str(n), "--compare")
+        assert (code, out.splitlines()[3]) == (0, f"exact {t}")
+        for toll, total in (("unit", unit), ("leaf", leaf)):
+            g = math.gcd(total, t)
+            assert run_cli(capsys, "param", "--toll", toll, str(n)) == (
+                0, f"n,total,mean_num,mean_den\n{n},{total},{total // g},{t // g}\n", ""
+            )
+
+
 class TestExactBound:
     """``count n``, ``approx n --compare`` and ``param`` refuse n above the
-    bound before any work: math.comb's cost grows about quadratically."""
+    bound before any work: the digits of t_n, and ``param --toll size``'s
+    total, cost time that grows about quadratically in n."""
 
     @pytest.fixture
     def no_work(self, monkeypatch):
@@ -859,16 +883,18 @@ class TestStartup:
             (("enumerate", "4"), False),
             (("count", "--upto", "5", "--format", "json"), False),
             (("series", "--terms", "8"), False),
+            # the binomial kernel is integer arithmetic too
+            (("count", "5"), False),
             # the check can see the module: these compute with it
-            (("count", "5"), True),
             (("approx", "50", "--compare"), True),
             (("param", "--toll", "leaf", "20"), True),
-            (("verify", "--oracle-limit", "4", "--series-terms", "8"), True),
+            # the kernel again, and exact checks only
+            (("verify", "--oracle-limit", "4", "--series-terms", "8"), False),
         ],
     )
     def test_cold_request_loads_math_only_to_compute_with_it(self, argv, loads_math):
-        # the stars-and-bars sampler and the grammar walk are integer
-        # arithmetic; only the closed forms, Stirling and the checks use math
+        # the stars-and-bars sampler, the grammar walk and the binomial kernel
+        # are integer arithmetic; only Stirling's floats and param's gcd use math
         proc = subprocess.run(
             [sys.executable, "-S", "-c", RUN_REPORTING_MODULES, *argv],
             capture_output=True,

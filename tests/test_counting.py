@@ -3,14 +3,16 @@
 Covers: the ratio table (each table a prefix of a longer one, its forest
 counts the closed form binom(3m, m)/(2m+1) to its last entry), the closed
 form and the Lagrange extraction against each other and against
-hand-checked values, table range errors, the asymptotic approximation
-(sign, decay, frozen reference points, the refusal of an n whose ln is
-not a finite float, the 330-digit log10(27/4) of its decimal form), and
-the term ratio's march toward 27/4.
+hand-checked values, the prime-power binomial kernel against math.comb,
+table range errors, refusals of an n past the int-to-str digit limit, the
+asymptotic approximation (sign, decay, frozen reference points, the
+refusal of an n whose ln is not a finite float, the 330-digit
+log10(27/4) of its decimal form), and the term ratio's march toward 27/4.
 """
 from __future__ import annotations
 
 import math
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import partial
@@ -31,7 +33,7 @@ from deptrees import (
     stirling_log_approx,
     toll_by_name,
 )
-from deptrees.counting import _check_size
+from deptrees.counting import _binomial, _check_size
 from deptrees.verification import convolution_table, lagrange_coefficient
 
 # first entries of A006013 and its sequence-of-forests companion
@@ -89,6 +91,37 @@ class TestSizeCheck:
         for bad in (11.0, 0.5):
             with pytest.raises(TypeError, match="^k must be an int, got float$"):
                 _check_size(bad, "k", 1, 10, "k tried")
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit before 3.10.7"
+    )
+    def test_an_n_past_the_digit_limit_is_refused_by_its_size(self):
+        # str() refuses an int of more than 4300 digits by default, so the
+        # refusal names its size instead of raising that error in its place
+        huge = 10**5000
+        bits = huge.bit_length()
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            with pytest.raises(ValueError) as refusal:
+                _check_size(huge, most=5, largest="x")
+            assert str(refusal.value) == f"n=<an int of {bits} bits> is above 5, the largest x"
+            with pytest.raises(ValueError) as refusal:
+                _check_size(-huge)
+            assert str(refusal.value) == (
+                f"n must be at least 1, got <a negative int of {bits} bits>"
+            )
+            for call in (stirling_log_approx, relative_error):
+                with pytest.raises(ValueError) as refusal:
+                    call(huge)
+                assert str(refusal.value) == (
+                    f"n=<an int of {bits} bits> is above about 9.4e+307, "
+                    "the largest n whose ln_approx is finite"
+                )
+            with pytest.raises(IndexError, match=f"^n=<an int of {bits} bits> outside"):
+                build_count_table(3).tree_count(huge)
+        finally:
+            sys.set_int_max_str_digits(before)
 
 
 class TestCountTable:
@@ -152,14 +185,39 @@ class TestClosedForms:
             lagrange_coefficient(0)
 
     def test_closed_form_is_integral_binomial(self):
-        # the defining quotient: n t_n = binom(3n-2, n-1)
-        for n in (1, 2, 17, 100):
-            assert n * count_closed_form(n) == math.comb(3 * n - 2, n - 1)
+        # the defining quotient: n t_n = binom(3n-2, n-1); math.comb is the
+        # oracle here, and the library reads the prime-power kernel
+        for n in (*range(1, 601), 4999, 5000, 10**5):
+            assert n * count_closed_form(n) == math.comb(3 * n - 2, n - 1), n
 
     @given(st.integers(1, 400))
     @settings(max_examples=40, deadline=None)
     def test_routes_agree_at_random_sizes(self, n):
         assert count_closed_form(n) == lagrange_coefficient(n)
+
+
+class TestBinomialKernel:
+    """``counting._binomial(a, b)`` is binom(a+b, a), as math.comb computes it."""
+
+    def test_every_small_pair(self):
+        for a in range(121):
+            for b in range(121):
+                assert _binomial(a, b) == math.comb(a + b, a), (a, b)
+
+    @given(st.integers(0, 3 * 10**4), st.integers(0, 3 * 10**4))
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_seeded_pairs(self, a, b):
+        assert _binomial(a, b) == math.comb(a + b, a)
+
+    def test_sums_at_prime_powers(self):
+        # a + b at and beside a prime's square, where the sieve stops, and
+        # a, b at and beside powers of 2, 3 and 5, where the carries change
+        for n in (96**2, 97**2 - 1, 97**2, 97**2 + 1, 98**2):
+            for a in (1, 2, 97, n // 3, n // 2):
+                assert _binomial(a, n - a) == math.comb(n, a), (a, n)
+        for a in (2**11 - 1, 2**11, 3**7, 3**7 + 1, 5**5):
+            for b in (1, 2**11, 3**7 - 1, 5**5 - 1):
+                assert _binomial(a, b) == math.comb(a + b, a), (a, b)
 
 
 class TestAsymptotics:
